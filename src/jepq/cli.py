@@ -30,7 +30,7 @@ from .jep import (
     stationary_prob,
     stationary_weight,
 )
-from .mc import coupled_simulate, empirical_distribution, simulate
+from .mc import empirical_distribution, simulate
 from .oracle import (
     DEFAULT_STATE_CAP,
     limit_rows_fixed_n,
@@ -47,7 +47,15 @@ __all__ = ["main"]
 
 def _state_cap() -> int:
     raw = os.environ.get("JEPQ_STATE_CAP")
-    return int(raw) if raw else DEFAULT_STATE_CAP
+    if not raw:
+        return DEFAULT_STATE_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"JEPQ_STATE_CAP must be a positive integer, got {raw!r}")
+    return cap
 
 
 def _state_key(state) -> str:
@@ -64,17 +72,7 @@ def _scalar_cell(value: Scalar) -> str:
     return repr(value) if isinstance(value, float) else str(Fraction(value))
 
 
-def _emit(report: dict, rows: list[dict], columns: list[str], args) -> None:
-    """Write the report as JSON (summary plus rows) or CSV (rows only)."""
-    if args.format == "json":
-        text = json.dumps({**report, "rows": rows}, indent=2, default=str) + "\n"
-    else:
-        buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=columns, extrasaction="ignore")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-        text = buffer.getvalue()
+def _write(text: str, args) -> None:
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(text)
@@ -82,7 +80,21 @@ def _emit(report: dict, rows: list[dict], columns: list[str], args) -> None:
         sys.stdout.write(text)
 
 
-def _build_model(args) -> BoundedGeometric | BoundedUniform | UnboundedGeometric:
+def _emit(report: dict, rows: list[dict], columns: list[str], args, rows_key: str = "rows") -> None:
+    """Write the report as JSON (report plus rows) or CSV (rows only)."""
+    if args.format == "json":
+        text = json.dumps({**report, rows_key: rows}, indent=2, default=str) + "\n"
+    else:
+        buffer = io.StringIO()
+        writer = csv.DictWriter(buffer, fieldnames=columns, extrasaction="ignore")
+        writer.writeheader()
+        for row in rows:
+            writer.writerow(row)
+        text = buffer.getvalue()
+    _write(text, args)
+
+
+def _build_model(args) -> BoundedGeometric | UnboundedGeometric:
     name = args.model
     if name == "bounded-geometric":
         return BoundedGeometric(args.m, args.n, args.q_value)
@@ -108,7 +120,7 @@ def _cmd_stationary(args) -> int:
             }
         )
     summary: dict = {"m": args.m, "n": args.n, "model": args.model}
-    if isinstance(model, BoundedGeometric):
+    if model.n:
         stats = closed_form_stats(model.m, model.n, model.q)
         summary.update(
             q=_scalar_fields(model.q),
@@ -125,27 +137,14 @@ def _cmd_stationary(args) -> int:
 def _cmd_verify(args) -> int:
     qs = (args.q_value,) if args.q else DEFAULT_QS
     results = run_checks(max_m=args.max_m, qs=qs)
-    if args.format == "json":
-        payload = [
-            {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-        ]
-        text = json.dumps({"max_m": args.max_m, "checks": payload}, indent=2) + "\n"
-    elif args.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=["name", "passed", "detail"])
-        writer.writeheader()
-        for r in results:
-            writer.writerow({"name": r.name, "passed": r.passed, "detail": r.detail})
-        text = buffer.getvalue()
-    else:
-        text = "".join(
-            f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}\n" for r in results
+    if args.format == "text":
+        _write(
+            "".join(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}\n" for r in results),
+            args,
         )
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
     else:
-        sys.stdout.write(text)
+        rows = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
+        _emit({"max_m": args.max_m}, rows, ["name", "passed", "detail"], args, rows_key="checks")
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -165,20 +164,14 @@ def _cmd_simulate(args) -> int:
         "throw_fraction_empirical": traj.throw_fraction,
         "states_visited": len(empirical),
     }
-    if not isinstance(model, UnboundedGeometric):
-        exact = {s: float(p) for s, p in stationary_distribution(model).items()}
-        summary["tv_empirical_vs_exact"] = total_variation(empirical, exact)
+    if isinstance(model, UnboundedGeometric):
+        exact = {s: float(stationary_prob(s, model)) for s in empirical}
+        tail = 1.0 - sum(exact.values())
     else:
-        mass = sum(
-            float(stationary_prob(s, model)) for s in empirical
-        )
-        tv = total_variation(
-            empirical,
-            {s: float(stationary_prob(s, model)) for s in empirical},
-            nu_tail=1.0 - mass,
-        )
-        summary["tv_empirical_vs_exact"] = tv
-    if isinstance(model, BoundedGeometric):
+        exact = {s: float(p) for s, p in stationary_distribution(model).items()}
+        tail = 0
+    summary["tv_empirical_vs_exact"] = total_variation(empirical, exact, nu_tail=tail)
+    if isinstance(model, BoundedGeometric) and model.n:
         stats = closed_form_stats(model.m, model.n, model.q)
         summary["throw_fraction_exact"] = float(stats.throw_fraction)
     rows = [
@@ -193,7 +186,7 @@ def _cmd_converge(args) -> int:
     lo, hi = args.m_range
     rows = []
     for m in range(max(lo, args.n), hi + 1):
-        row = tv_to_unbounded(m, args.n, args.q_value, state_cap=_state_cap())
+        row = tv_to_unbounded(m, args.n, args.q_value, state_cap=args.state_cap)
         rows.append(
             {
                 "m": m,
@@ -221,6 +214,10 @@ def _cmd_limits(args) -> int:
     out = []
     for row in rows:
         shown = row.value_uncorrected if args.paper_literal else row.value
+        if shown > sys.float_info.max:
+            raise ValueError(
+                f"uncorrected value at m={row.m}, n={row.n} exceeds the float range"
+            )
         out.append(
             {
                 "m": row.m,
@@ -360,6 +357,7 @@ def main(argv=None) -> int:
         except (ValueError, ZeroDivisionError):
             parser.error(f"cannot parse q={args.q!r}")
     try:
+        args.state_cap = _state_cap()
         return _COMMANDS[args.command](args)
     except ValueError as err:
         print(f"jepq: error: {err}", file=sys.stderr)

@@ -3,16 +3,16 @@
 A state is a strictly increasing tuple of particle heights. One step of the
 dynamics: if height 0 is vacant, every particle falls by one; otherwise the
 particle at 0 is picked up, the rest fall, and the picked-up particle is
-rethrown to a vacant height drawn from the model's throw law. Three throw
+rethrown to a vacant height drawn from the model's throw law. Two throw
 laws are supported: truncated geometric on the m heights, plain geometric on
-all of the nonnegative integers, and uniform on the m heights.
+all of the nonnegative integers. Uniform throws on the m heights are the
+truncated geometric law at q = 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Union
 
@@ -47,7 +47,7 @@ __all__ = [
 @dataclass(frozen=True)
 class BoundedGeometric:
     """n particles on heights {0..m-1}; throws hit the x-th vacancy from
-    below with probability proportional to q^x."""
+    below with probability proportional to q^x. q = 1 gives uniform throws."""
 
     m: int
     n: int
@@ -56,8 +56,8 @@ class BoundedGeometric:
     def __post_init__(self):
         if not 0 <= self.n <= self.m:
             raise ValueError(f"need 0 <= n <= m, got n={self.n} m={self.m}")
-        if not 0 < self.q < 1:
-            raise ValueError(f"need 0 < q < 1, got q={self.q}")
+        if not 0 < self.q <= 1:
+            raise ValueError(f"need 0 < q <= 1, got q={self.q}")
 
     @property
     def ell(self) -> int:
@@ -79,23 +79,12 @@ class UnboundedGeometric:
             raise ValueError(f"need 0 < q < 1, got q={self.q}")
 
 
-@dataclass(frozen=True)
-class BoundedUniform:
+def BoundedUniform(m: int, n: int) -> BoundedGeometric:
     """n particles on heights {0..m-1}; throws hit each vacancy equally."""
-
-    m: int
-    n: int
-
-    def __post_init__(self):
-        if not 0 <= self.n <= self.m:
-            raise ValueError(f"need 0 <= n <= m, got n={self.n} m={self.m}")
-
-    @property
-    def ell(self) -> int:
-        return self.m - self.n + 1
+    return BoundedGeometric(m, n, Fraction(1))
 
 
-ThrowModel = Union[BoundedGeometric, UnboundedGeometric, BoundedUniform]
+ThrowModel = Union[BoundedGeometric, UnboundedGeometric]
 
 
 @dataclass(frozen=True)
@@ -138,7 +127,7 @@ def validate_state(state: State, model: ThrowModel) -> None:
         raise ValueError(f"negative height in {state}")
     if any(state[i] >= state[i + 1] for i in range(len(state) - 1)):
         raise ValueError(f"heights must be strictly increasing, got {state}")
-    if isinstance(model, (BoundedGeometric, BoundedUniform)):
+    if isinstance(model, BoundedGeometric):
         if state and state[-1] > model.m - 1:
             raise ValueError(f"height {state[-1]} out of range for m={model.m}")
 
@@ -162,14 +151,14 @@ def theta_rank(excluded, height: int) -> int:
 
 
 def truncated_geometric_pmf(ell: int, q: Scalar) -> list[Scalar]:
-    """The geometric law conditioned on {0..ell-1}: pmf(x) proportional to q^x."""
+    """The geometric law conditioned on {0..ell-1}: pmf(x) = q^x / [ell]_q,
+    which is uniform at q = 1."""
     if ell < 1:
         raise ValueError(f"need ell >= 1, got ell={ell}")
-    if not 0 < q < 1:
-        raise ValueError(f"need 0 < q < 1, got q={q}")
-    norm = (1 - q) / (1 - q**ell)
+    if not 0 < q <= 1:
+        raise ValueError(f"need 0 < q <= 1, got q={q}")
     out = []
-    power = norm
+    power = 1 / q_int(ell, q)
     for _ in range(ell):
         out.append(power)
         power = power * q
@@ -195,8 +184,6 @@ def throw_prob(x_star: State, height: int, model: ThrowModel) -> Scalar:
         return (1 - model.q) * model.q**rank
     if height > model.m - 1:
         raise ValueError(f"height {height} out of range for m={model.m}")
-    if isinstance(model, BoundedUniform):
-        return Fraction(1, model.ell)
     return truncated_geometric_pmf(model.ell, model.q)[rank]
 
 
@@ -221,9 +208,6 @@ def throw_pmf(x_star: State, model: ThrowModel, ceiling: int | None = None) -> T
             rank += 1
         return ThrowPmf(probs, q**rank)
     vacancies = [h for h in range(model.m) if h not in x_star]
-    if isinstance(model, BoundedUniform):
-        p = Fraction(1, model.ell)
-        return ThrowPmf({h: p for h in vacancies}, 0)
     pmf = truncated_geometric_pmf(model.ell, model.q)
     return ThrowPmf(dict(zip(vacancies, pmf)), 0)
 
@@ -258,17 +242,13 @@ def stationary_weight(state: State, model: ThrowModel) -> Scalar:
     """Unnormalized stationary weight of a state.
 
     Bounded geometric: prod over x in B of [1 + v(x)] * q^x, with v(x) the
-    number of vacant heights in {x..m-1}. Bounded uniform: prod (1 + v(x)).
-    Unbounded geometric: q^(sum of heights).
+    number of vacant heights in {x..m-1}; at q = 1 (uniform throws) this is
+    prod (1 + v(x)), the number of rook extensions of B. Unbounded
+    geometric: q^(sum of heights).
     """
     validate_state(state, model)
     if isinstance(model, UnboundedGeometric):
         return model.q ** sum(state)
-    if isinstance(model, BoundedUniform):
-        weight = 1
-        for count in _vacancies_above(state, model.m):
-            weight *= count
-        return weight
     q = model.q
     weight = 1 + 0 * q
     for count in _vacancies_above(state, model.m):
@@ -276,19 +256,11 @@ def stationary_weight(state: State, model: ThrowModel) -> Scalar:
     return weight * q ** sum(state)
 
 
-@lru_cache(maxsize=None)
-def _uniform_normalizer(m: int, n: int) -> int:
-    model = BoundedUniform(m, n)
-    return sum(stationary_weight(state, model) for state in enumerate_states(m, n))
-
-
 def stationary_prob(state: State, model: ThrowModel) -> Scalar:
     """Stationary probability of a state under the model's closed form."""
     weight = stationary_weight(state, model)
     if isinstance(model, BoundedGeometric):
         return weight / partition_z(model.m, model.n, model.q)
-    if isinstance(model, BoundedUniform):
-        return Fraction(weight, _uniform_normalizer(model.m, model.n))
     n, q = model.n, model.q
     return q_pochhammer(n, q) * q ** (-binom2(n)) * weight
 
@@ -297,11 +269,7 @@ def stationary_distribution(model: ThrowModel) -> dict[State, Scalar]:
     """The full closed-form stationary law of a bounded model."""
     if isinstance(model, UnboundedGeometric):
         raise ValueError("unbounded law has infinite support; use stationary_prob")
-    z = (
-        partition_z(model.m, model.n, model.q)
-        if isinstance(model, BoundedGeometric)
-        else Fraction(_uniform_normalizer(model.m, model.n))
-    )
+    z = partition_z(model.m, model.n, model.q)
     return {
         state: stationary_weight(state, model) / z
         for state in enumerate_states(model.m, model.n)

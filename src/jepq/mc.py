@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .qcomb import Scalar
 from .jep import (
     BoundedGeometric,
-    BoundedUniform,
     State,
     ThrowModel,
     UnboundedGeometric,
@@ -73,10 +73,10 @@ class RngStream:
         return int(math.log(u) / math.log(q))
 
     def truncated_geometric(self, ell: int, q: float) -> int:
-        """Inverse-CDF draw of the geometric law conditioned on {0..ell-1}."""
-        if ell == 1:
-            self.next_u64()
-            return 0
+        """Inverse-CDF draw of the geometric law conditioned on {0..ell-1};
+        q = 1 is the uniform law."""
+        if q == 1:
+            return self.randrange(ell)
         u = self.uniform()
         x = int(math.log(1.0 - u * (1.0 - q**ell)) / math.log(q))
         return min(max(x, 0), ell - 1)
@@ -109,24 +109,32 @@ class CoupledRun:
     unbounded_states: list[State]
 
 
+def _rank_sampler(rng: RngStream, model: ThrowModel) -> Callable[[], int]:
+    """A draw of the model's throw rank: which vacancy, counted from below,
+    the rethrown particle lands on."""
+    q = float(model.q)
+    if isinstance(model, UnboundedGeometric):
+        return lambda: rng.geometric(q)
+    ell = model.ell
+    return lambda: rng.truncated_geometric(ell, q)
+
+
 def sample_throw(rng: RngStream, after_shift: State, model: ThrowModel) -> int:
     """Draw a landing height for the rethrown particle, avoiding the heights
     occupied by ``after_shift``."""
-    if isinstance(model, UnboundedGeometric):
-        return theta(after_shift, rng.geometric(float(model.q)))
-    if after_shift and max(after_shift) > model.m - 2:
-        raise ValueError(f"after-shift state {after_shift} collides with forbidden heights")
-    if isinstance(model, BoundedUniform):
-        return theta(after_shift, rng.randrange(model.ell))
-    return theta(after_shift, rng.truncated_geometric(model.ell, float(model.q)))
+    if isinstance(model, BoundedGeometric) and after_shift:
+        if max(after_shift) > model.m - 2:
+            raise ValueError(f"after-shift state {after_shift} collides with forbidden heights")
+    return theta(after_shift, _rank_sampler(rng, model)())
 
 
-def _step(state: State, rng: RngStream, model: ThrowModel) -> tuple[State, bool]:
+def _step(state: State, rank: Callable[[], int]) -> tuple[State, bool]:
+    """One transition; ``rank`` is called for the throw rank on throw steps
+    only, so a chain that merely falls consumes no randomness."""
     if not state or state[0] != 0:
         return tuple(b - 1 for b in state), False
     x_star = tuple(b - 1 for b in state[1:])
-    height = sample_throw(rng, x_star, model)
-    return tuple(sorted(x_star + (height,))), True
+    return tuple(sorted(x_star + (theta(x_star, rank()),))), True
 
 
 def simulate(model: ThrowModel, initial: State, steps: int, seed: int, stream: int = 0) -> Trajectory:
@@ -134,12 +142,12 @@ def simulate(model: ThrowModel, initial: State, steps: int, seed: int, stream: i
     validate_state(initial, model)
     if steps < 0:
         raise ValueError(f"need steps >= 0, got {steps}")
-    rng = RngStream(seed, stream)
+    rank = _rank_sampler(RngStream(seed, stream), model)
     states = [initial]
     current = initial
     throws = 0
     for _ in range(steps):
-        current, threw = _step(current, rng, model)
+        current, threw = _step(current, rank)
         throws += threw
         states.append(current)
     return Trajectory(initial=initial, states=states, throw_count=throws)
@@ -193,16 +201,8 @@ def coupled_simulate(
     decouple: int | None = None
     for t in range(1, steps + 1):
         xi, xi_hat, agreed = coupled_throw_pair(rng, ell, qf)
-        if b_cur and b_cur[0] == 0:
-            x_star = tuple(b - 1 for b in b_cur[1:])
-            b_cur = tuple(sorted(x_star + (theta(x_star, xi_hat),)))
-        else:
-            b_cur = tuple(b - 1 for b in b_cur)
-        if u_cur and u_cur[0] == 0:
-            x_star = tuple(b - 1 for b in u_cur[1:])
-            u_cur = tuple(sorted(x_star + (theta(x_star, xi),)))
-        else:
-            u_cur = tuple(b - 1 for b in u_cur)
+        b_cur, _ = _step(b_cur, lambda: xi_hat)
+        u_cur, _ = _step(u_cur, lambda: xi)
         b_states.append(b_cur)
         u_states.append(u_cur)
         if decouple is None:

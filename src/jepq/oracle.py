@@ -5,6 +5,7 @@ variation distances, and convergence tables against the unbounded chain.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -14,15 +15,16 @@ from .qcomb import (
     binom2,
     euler_phi,
     gould_stirling,
-    partition_z,
     q_int,
     q_pochhammer,
+    scaled_partition_z,
 )
 from .jep import (
     BoundedGeometric,
     ThrowModel,
     UnboundedGeometric,
     enumerate_states,
+    stationary_distribution,
     stationary_prob,
     step_kernel_row,
 )
@@ -207,11 +209,9 @@ def tv_to_unbounded(m: int, n: int, q: Scalar, state_cap: int = DEFAULT_STATE_CA
     count = comb(m, n)
     if count > state_cap:
         raise ValueError(f"state space size {count} exceeds cap {state_cap}")
-    bounded_model = BoundedGeometric(m, n, q)
     unbounded_model = UnboundedGeometric(n, q)
-    states = enumerate_states(m, n)
-    mu = {s: stationary_prob(s, bounded_model) for s in states}
-    nu = {s: stationary_prob(s, unbounded_model) for s in states}
+    mu = stationary_distribution(BoundedGeometric(m, n, q))
+    nu = {s: stationary_prob(s, unbounded_model) for s in mu}
     tail = 1 - sum(nu.values())
     ell = m - n + 1
     return ConvergenceRow(
@@ -241,7 +241,8 @@ class LimitRow:
 
     ``value`` is the full ground-state probability; ``value_uncorrected``
     omits the q^binom(n,2) factor and does not converge to the target for
-    n >= 2 (kept for side-by-side comparison)."""
+    n >= 2 (kept for side-by-side comparison). In floats it is inf once
+    q^binom(n,2) underflows."""
 
     m: int
     n: int
@@ -252,8 +253,9 @@ class LimitRow:
 
 
 def _ground_row(m: int, n: int, q: Scalar, target: Scalar) -> LimitRow:
-    uncorrected = q_int(m - n + 1, q) ** n / partition_z(m, n, q)
-    value = uncorrected * q ** binom2(n)
+    value = q_int(m - n + 1, q) ** n / scaled_partition_z(m, n, q)
+    scale = q ** binom2(n)
+    uncorrected = value / scale if scale else math.inf
     return LimitRow(
         m=m,
         n=n,

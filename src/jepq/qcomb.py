@@ -23,6 +23,7 @@ __all__ = [
     "euler_phi_truncation",
     "q_stirling",
     "gould_stirling",
+    "scaled_partition_z",
     "partition_z",
 ]
 
@@ -92,28 +93,28 @@ def euler_phi(q: Scalar, eps: float = 1e-12) -> Scalar:
     return q_pochhammer(n, q)
 
 
-def _stirling_triangle(a: int, b: int, q: Scalar, shifted: bool) -> Scalar:
+def _triangle(a: int, q: Scalar, powers) -> list[Scalar]:
+    """Row a of the triangle X[r+1, j] = q^e X[r, j-1] + [j]_q X[r, j] with
+    X[0, 0] = 1 and zero outside 0 <= j <= r.
+
+    ``powers(qpow, r)`` returns the factors q^e for j = 1..r+1, as a slice
+    of qpow = [q^0, ..., q^a]; the exponent e is all each triangle changes.
+    """
     if a < 0:
-        raise ValueError(f"stirling triangle needs a >= 0, got a={a}")
-    if b < 0 or b > a:
-        return 0 * q
-    qints = [q_int(j, q) for j in range(a + 1)]
-    qpow = [1 + 0 * q]
+        raise ValueError(f"triangle needs a >= 0, got a={a}")
+    zero = 0 * q
+    qints = [q_int(j, q) for j in range(1, a + 1)]
+    qpow = [1 + zero]
     for _ in range(a):
         qpow.append(qpow[-1] * q)
-    row = [1 + 0 * q]
+    row = [1 + zero]
     for r in range(a):
-        new = []
-        for j in range(r + 2):
-            val = 0 * q
-            if j >= 1:
-                left = row[j - 1]
-                val += qpow[j - 1] * left if shifted else left
-            if j <= r:
-                val += qints[j] * row[j]
-            new.append(val)
-        row = new
-    return row[b]
+        right = row[1:] + [zero]
+        row = [zero] + [
+            power * left + qint * below
+            for power, left, qint, below in zip(powers(qpow, r), row, qints, right)
+        ]
+    return row
 
 
 def q_stirling(a: int, b: int, q: Scalar) -> Scalar:
@@ -124,7 +125,8 @@ def q_stirling(a: int, b: int, q: Scalar) -> Scalar:
     any q > 0, including q > 1 (the partition normalizer needs base 1/q).
     Out-of-range b returns 0 rather than raising.
     """
-    return _stirling_triangle(a, b, q, shifted=True)
+    row = _triangle(a, q, lambda qpow, r: qpow[: r + 1])
+    return row[b] if 0 <= b <= a else 0 * q
 
 
 def gould_stirling(a: int, b: int, q: Scalar) -> Scalar:
@@ -135,7 +137,24 @@ def gould_stirling(a: int, b: int, q: Scalar) -> Scalar:
     to the classical Stirling numbers of the second kind; in general
     S[a, b] = q^binom(b,2) * G[a, b].
     """
-    return _stirling_triangle(a, b, q, shifted=False)
+    row = _triangle(a, q, lambda qpow, r: qpow[:1] * (r + 1))
+    return row[b] if 0 <= b <= a else 0 * q
+
+
+def scaled_partition_z(m: int, n: int, q: Scalar) -> Scalar:
+    """The normalizer with the ground state's power of q divided out:
+    Z(m, n, q) / q^binom(n,2), so the ground-state probability is
+    [m-n+1]^n divided by this value.
+
+    Equals R[m+1, m-n+1] in the triangle R[r+1, j] = q^(r+1-j) R[r, j-1]
+    + [j]_q R[r, j]. Only nonnegative powers of q enter, so float
+    evaluation stays in range at sizes where q^binom(n,2) underflows.
+    """
+    if not 0 <= n <= m:
+        raise ValueError(f"need 0 <= n <= m, got m={m} n={n}")
+    if not 0 < q <= 1:
+        raise ValueError(f"need 0 < q <= 1, got q={q}")
+    return _triangle(m + 1, q, lambda qpow, r: qpow[r::-1])[m - n + 1]
 
 
 def partition_z(m: int, n: int, q: Scalar) -> Scalar:
@@ -143,38 +162,15 @@ def partition_z(m: int, n: int, q: Scalar) -> Scalar:
 
     Equals q^(binom(m+1,2) - n) * S[m+1, m-n+1] with the q-Stirling factor
     evaluated at base 1/q. (The exponent carries -n; the sign is pinned by
-    the normalization tests at (m,n) = (2,1) and (3,2).) Computed through
-    the rescaled triangle T[a, b] = q^binom(a,2) * S_{1/q}[a, b], whose
-    recursion
-
-        T[a+1, b] = q^(a-b+1) * (T[a, b-1] + [b]_q T[a, b])
-
-    only ever multiplies by nonnegative powers of q, so float evaluation
-    stays in range at sizes where the raw q-Stirling factor would overflow.
-    Exact inputs give the exact value. q = 1 is allowed as the classical
-    limit; there the result counts rook extensions, which is the normalizer
-    of the uniform-throw model.
+    the normalization tests at (m,n) = (2,1) and (3,2).) Computed as
+    q^binom(n,2) times `scaled_partition_z`, whose triangle only ever
+    multiplies by nonnegative powers of q, so float evaluation stays in
+    range at sizes where the raw q-Stirling factor would overflow. Exact
+    inputs give the exact value. q = 1 is allowed as the classical limit;
+    there the result counts rook extensions, which is the normalizer of the
+    uniform-throw model.
     """
-    if not 0 <= n <= m:
-        raise ValueError(f"need 0 <= n <= m, got m={m} n={n}")
-    if not 0 < q <= 1:
-        raise ValueError(f"need 0 < q <= 1, got q={q}")
-    qints = [q_int(j, q) for j in range(m + 2)]
-    qpow = [1 + 0 * q]
-    for _ in range(m + 1):
-        qpow.append(qpow[-1] * q)
-    row = [1 + 0 * q]
-    for r in range(m + 1):
-        new = []
-        for j in range(r + 2):
-            val = 0 * q
-            if j >= 1:
-                val += row[j - 1]
-            if j <= r:
-                val += qints[j] * row[j]
-            new.append(qpow[r - j + 1] * val)
-        row = new
-    return row[m - n + 1] * q ** (-n)
+    return scaled_partition_z(m, n, q) * q ** binom2(n)
 
 
 def binom2(k: int) -> int:

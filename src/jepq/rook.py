@@ -13,8 +13,6 @@ drift, and the removed rook re-enters column 0 at a random row.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .qcomb import Scalar, gould_stirling
 from .jep import State, truncated_geometric_pmf
 
@@ -140,8 +138,15 @@ def row_projection(rooks: RookConfig) -> State:
     return tuple(sorted(r for r, _ in rooks))
 
 
-def _drift(rooks: RookConfig) -> RookConfig:
-    return _canonical((r - 1, c + 1) for r, c in rooks)
+def _successors(m: int, rooks: RookConfig) -> list[RookConfig]:
+    """The placements one extended step can reach. With no rook in the
+    bottom row that is the lone drift; otherwise the bottom rook re-enters
+    column 0 in each row left free by the drift, lowest row first."""
+    drifted = _canonical((r - 1, c + 1) for r, c in rooks if r > 0)
+    if len(drifted) == len(rooks):
+        return [drifted]
+    occupied = {r for r, _ in drifted}
+    return [_canonical(drifted + ((row, 0),)) for row in range(m) if row not in occupied]
 
 
 def extended_kernel_row(m: int, rooks: RookConfig, q: Scalar) -> dict[RookConfig, Scalar]:
@@ -155,17 +160,8 @@ def extended_kernel_row(m: int, rooks: RookConfig, q: Scalar) -> dict[RookConfig
     validate_config(m, rooks)
     if not 0 < q < 1:
         raise ValueError(f"need 0 < q < 1, got q={q}")
-    bottom = [cell for cell in rooks if cell[0] == 0]
-    drifted = _canonical((r - 1, c + 1) for r, c in rooks if r > 0)
-    if not bottom:
-        return {drifted: Fraction(1)}
-    occupied = {r for r, _ in drifted}
-    available = [r for r in range(m) if r not in occupied]
-    pmf = truncated_geometric_pmf(len(available), q)
-    return {
-        _canonical(drifted + ((row, 0),)): p
-        for row, p in zip(available, pmf)
-    }
+    successors = _successors(m, rooks)
+    return dict(zip(successors, truncated_geometric_pmf(len(successors), q)))
 
 
 def extended_weight(m: int, rooks: RookConfig, q: Scalar) -> Scalar:
@@ -202,14 +198,7 @@ def path_to_ground(m: int, rooks: RookConfig, max_steps: int | None = None) -> l
     for _ in range(max_steps):
         if current == ground:
             return path
-        bottom = [cell for cell in current if cell[0] == 0]
-        drifted = _canonical((r - 1, c + 1) for r, c in current if r > 0)
-        if not bottom:
-            current = drifted
-        else:
-            occupied = {r for r, _ in drifted}
-            lowest = min(r for r in range(m) if r not in occupied)
-            current = _canonical(drifted + ((lowest, 0),))
+        current = _successors(m, current)[0]
         path.append(current)
     if current == ground:
         return path

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .qcomb import (
     binom2,
@@ -29,7 +28,6 @@ from .jep import (
     stationary_distribution,
     stationary_prob,
     stationary_weight,
-    step_kernel_row,
     UnboundedGeometric,
 )
 from .oracle import (
@@ -240,12 +238,8 @@ def _check_throw_fraction(max_m: int, qs) -> CheckResult:
     for q in qs:
         for m in range(1, max_m + 1):
             for n in range(1, m + 1):
-                model = BoundedGeometric(m, n, q)
-                direct = sum(
-                    stationary_prob(s, model)
-                    for s in enumerate_states(m, n)
-                    if s and s[0] == 0
-                )
+                law = stationary_distribution(BoundedGeometric(m, n, q))
+                direct = sum(p for s, p in law.items() if s[0] == 0)
                 stats = closed_form_stats(m, n, q)
                 if stats.throw_fraction != direct:
                     return CheckResult(name, False, f"corrected form off at ({m},{n},{q})")

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from contextlib import redirect_stdout
@@ -52,6 +53,11 @@ def test_stationary_uniform_model():
     doc = json.loads(out)
     rows = {row["state"]: row["prob"] for row in doc["rows"]}
     assert rows == {"0-1": "4/7", "0-2": "2/7", "1-2": "1/7"}
+    assert doc["summary"]["Z"]["exact"] == "7"
+    # the alias names the bounded geometric law at q = 1
+    code, out = run_cli(["stationary", "--m", "3", "--n", "2", "--q", "1"])
+    assert code == 0
+    assert {row["state"]: row["prob"] for row in json.loads(out)["rows"]} == rows
 
 
 def test_verify_passes_and_is_deterministic():
@@ -91,6 +97,23 @@ def test_simulate_summary():
             "--steps", "30000", "--seed", "9", "--burn-in", "500",
         ]
     )[1] == out
+    # pinned digests: the uniform draw sequence must not change
+    code, out = run_cli(
+        [
+            "simulate", "--model", "bounded-uniform",
+            "--m", "5", "--n", "2", "--steps", "5000", "--seed", "0",
+        ]
+    )
+    assert code == 0
+    doc = json.loads(out)
+    summary = doc["summary"]
+    assert summary["throw_count"] == 3091
+    assert summary["throw_fraction_empirical"] == 0.6182
+    assert summary["states_visited"] == 10
+    assert summary["tv_empirical_vs_exact"] == 0.01047814969334591
+    assert summary["throw_fraction_exact"] == 8 / 13
+    rows_digest = hashlib.sha256(json.dumps(doc["rows"], sort_keys=True).encode()).hexdigest()
+    assert rows_digest == "73bd4b1313d4f0778c8e0a08ed2a8c4c1b47b56b4db0c91ff3603f3136790eb7"
 
 
 def test_converge_rows_respect_bounds():
@@ -104,7 +127,7 @@ def test_converge_rows_respect_bounds():
     assert doc["rows"][-1]["tv_float"] < 1e-3
 
 
-def test_limits_fixed_and_growing():
+def test_limits_fixed_and_growing(capsys):
     code, out = run_cli(["limits", "--n", "2", "--q", "1/2", "--m-range", "2:20"])
     doc = json.loads(out)
     assert doc["summary"]["mode"] == "fixed-n"
@@ -119,6 +142,19 @@ def test_limits_fixed_and_growing():
     )
     doc = json.loads(out)
     assert doc["rows"][-1]["abs_error"] > 0.3
+    # growing n stays finite where q^binom(n,2) underflows
+    code, out = run_cli(["limits", "--q", "1/2", "--m-range", "1:100"])
+    assert code == 0
+    last = json.loads(out)["rows"][-1]
+    assert last["n"] == 100
+    assert last["abs_error"] < 1e-9
+    # the uncorrected form leaves the float range: one error line, exit 2
+    capsys.readouterr()
+    code, out = run_cli(["limits", "--q", "1/2", "--m-range", "1:100", "--paper-literal"])
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("jepq: error: ") and err.count("\n") == 1
 
 
 def test_rook_histogram_cross_check():
@@ -154,7 +190,16 @@ def test_usage_errors_exit_2():
     assert code == 2
 
 
-def test_state_cap_env(monkeypatch):
+def test_state_cap_env(monkeypatch, capsys):
     monkeypatch.setenv("JEPQ_STATE_CAP", "5")
     code, _ = run_cli(["converge", "--n", "3", "--q", "1/2", "--m-range", "8:9"])
     assert code == 2
+    # a malformed cap is rejected before any command runs
+    for raw in ("abc", "0", "-5"):
+        monkeypatch.setenv("JEPQ_STATE_CAP", raw)
+        capsys.readouterr()
+        code, out = run_cli(["stationary", "--m", "2", "--n", "1", "--q", "1/2"])
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert "JEPQ_STATE_CAP" in err and repr(raw) in err

@@ -52,6 +52,8 @@ def test_truncated_geometric_pmf():
     assert truncated_geometric_pmf(2, F(1, 2)) == [F(2, 3), F(1, 3)]
     assert truncated_geometric_pmf(1, F(1, 2)) == [1]
     for ell in range(1, 11):
+        assert truncated_geometric_pmf(ell, F(1)) == [F(1, ell)] * ell
+    for ell in range(1, 11):
         for q in QS:
             assert sum(truncated_geometric_pmf(ell, q)) == 1
     with pytest.raises(ValueError):
@@ -132,6 +134,12 @@ def test_stationary_weight_anchors():
 def test_stationary_prob_anchors():
     q = F(1, 2)
     assert stationary_prob((0,), BoundedGeometric(2, 1, q)) == F(3, 4)
+    # q = 1 is the uniform-throw law
+    assert stationary_distribution(BoundedGeometric(3, 2, F(1))) == {
+        (0, 1): F(4, 7),
+        (0, 2): F(2, 7),
+        (1, 2): F(1, 7),
+    }
     for n in range(1, 5):
         for qq in QS:
             assert stationary_prob(tuple(range(n)), UnboundedGeometric(n, qq)) == q_pochhammer(n, qq)

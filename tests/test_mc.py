@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -193,6 +194,14 @@ def test_coupled_simulate_reproducible_and_consistent():
     if a.first_decouple_step is not None:
         t = a.first_decouple_step
         assert a.bounded_states[: t - 1] == a.unbounded_states[: t - 1]
+    # pinned digest: one coupled pair per step, the draw order must not change
+    run = coupled_simulate(10, 4, q, (0, 1, 2, 3), 20000, seed=7)
+    assert run.first_decouple_step == 13
+    assert run.bounded_states[-1] == run.unbounded_states[-1] == (0, 1, 2, 3)
+    paths = repr((run.bounded_states, run.unbounded_states)).encode()
+    assert hashlib.sha256(paths).hexdigest() == (
+        "e4143df5e134c18ee061af3ad5e3654aa92c1aaa9c4292eeb1c1343357ac6892"
+    )
 
 
 def test_coupled_agreement_frequency():

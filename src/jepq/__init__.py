@@ -25,6 +25,7 @@ from .jep import (
     stationary_distribution,
     stationary_prob,
     stationary_weight,
+    stationary_weights,
     step_kernel_row,
     theta,
     throw_pmf,

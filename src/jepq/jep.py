@@ -37,6 +37,7 @@ __all__ = [
     "throw_pmf",
     "step_kernel_row",
     "stationary_weight",
+    "stationary_weights",
     "stationary_prob",
     "stationary_distribution",
     "closed_form_stats",
@@ -238,6 +239,20 @@ def _vacancies_above(state: State, m: int) -> list[int]:
     return [m - n - x + k for k, x in enumerate(state, start=1)]
 
 
+def _q_ints(ell: int, q: Scalar) -> list[Scalar]:
+    """[0]_q, [1]_q, ..., [ell]_q: every vacancy factor a weight can use."""
+    return [q_int(k, q) for k in range(ell + 1)]
+
+
+def _bounded_weight(state: State, m: int, q: Scalar, qints: list[Scalar]) -> Scalar:
+    """The vacancy factors [1 + v(x)] in particle order, then q^(sum of
+    heights); every factor is an entry of ``qints = _q_ints(m - n + 1, q)``."""
+    weight = 1 + 0 * q
+    for count in _vacancies_above(state, m):
+        weight = weight * qints[count]
+    return weight * q ** sum(state)
+
+
 def stationary_weight(state: State, model: ThrowModel) -> Scalar:
     """Unnormalized stationary weight of a state.
 
@@ -249,11 +264,20 @@ def stationary_weight(state: State, model: ThrowModel) -> Scalar:
     validate_state(state, model)
     if isinstance(model, UnboundedGeometric):
         return model.q ** sum(state)
-    q = model.q
-    weight = 1 + 0 * q
-    for count in _vacancies_above(state, model.m):
-        weight = weight * q_int(count, q)
-    return weight * q ** sum(state)
+    return _bounded_weight(state, model.m, model.q, _q_ints(model.ell, model.q))
+
+
+def stationary_weights(model: ThrowModel) -> dict[State, Scalar]:
+    """Unnormalized stationary weights of every state of a bounded model, in
+    `enumerate_states` order; each equals `stationary_weight` of its state.
+    One table of q-integers serves all states."""
+    if isinstance(model, UnboundedGeometric):
+        raise ValueError("unbounded law has infinite support; use stationary_weight")
+    qints = _q_ints(model.ell, model.q)
+    return {
+        state: _bounded_weight(state, model.m, model.q, qints)
+        for state in enumerate_states(model.m, model.n)
+    }
 
 
 def stationary_prob(state: State, model: ThrowModel) -> Scalar:
@@ -269,11 +293,9 @@ def stationary_distribution(model: ThrowModel) -> dict[State, Scalar]:
     """The full closed-form stationary law of a bounded model."""
     if isinstance(model, UnboundedGeometric):
         raise ValueError("unbounded law has infinite support; use stationary_prob")
+    weights = stationary_weights(model)
     z = partition_z(model.m, model.n, model.q)
-    return {
-        state: stationary_weight(state, model) / z
-        for state in enumerate_states(model.m, model.n)
-    }
+    return {state: weight / z for state, weight in weights.items()}
 
 
 def closed_form_stats(m: int, n: int, q: Scalar) -> SteadyStats:

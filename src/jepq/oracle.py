@@ -34,6 +34,7 @@ DEFAULT_STATE_CAP = 100_000
 
 __all__ = [
     "DEFAULT_STATE_CAP",
+    "check_state_cap",
     "TransitionMatrix",
     "ConvergenceRow",
     "LimitRow",
@@ -46,6 +47,20 @@ __all__ = [
     "limit_rows_fixed_n",
     "limit_rows_growing_n",
 ]
+
+
+def check_state_cap(m: int, n: int, state_cap: int, placements: bool = False) -> None:
+    """Raise ValueError when the number of height sets of n particles on
+    {0..m-1}, or with ``placements`` the number of n-rook placements on the
+    board of height m, exceeds ``state_cap``."""
+    if placements:
+        count = gould_stirling(m + 1, m + 1 - n, 1)
+        kind = "extended state space"
+    else:
+        count = comb(m, n)
+        kind = "state space"
+    if count > state_cap:
+        raise ValueError(f"{kind} size {count} exceeds cap {state_cap}")
 
 
 class TransitionMatrix:
@@ -81,9 +96,7 @@ def build_transition_matrix(
     """Assemble the full kernel of a bounded model over all its states."""
     if isinstance(model, UnboundedGeometric):
         raise ValueError("unbounded model has an infinite state space")
-    count = comb(model.m, model.n)
-    if count > state_cap:
-        raise ValueError(f"state space size {count} exceeds cap {state_cap}")
+    check_state_cap(model.m, model.n, state_cap)
     states = enumerate_states(model.m, model.n)
     return TransitionMatrix(states, [step_kernel_row(s, model) for s in states])
 
@@ -92,9 +105,7 @@ def build_extended_matrix(
     m: int, n: int, q: Scalar, state_cap: int = DEFAULT_STATE_CAP
 ) -> TransitionMatrix:
     """Assemble the kernel of the extended rook chain on the board of height m."""
-    count = gould_stirling(m + 1, m + 1 - n, 1)
-    if count > state_cap:
-        raise ValueError(f"extended state space size {count} exceeds cap {state_cap}")
+    check_state_cap(m, n, state_cap, placements=True)
     configs = enumerate_configs(m, n)
     return TransitionMatrix(configs, [extended_kernel_row(m, c, q) for c in configs])
 
@@ -206,9 +217,7 @@ def tv_to_unbounded(m: int, n: int, q: Scalar, state_cap: int = DEFAULT_STATE_CA
     unbounded law's mass outside those sets is exactly one minus its mass on
     them; no truncation error enters.
     """
-    count = comb(m, n)
-    if count > state_cap:
-        raise ValueError(f"state space size {count} exceeds cap {state_cap}")
+    check_state_cap(m, n, state_cap)
     unbounded_model = UnboundedGeometric(n, q)
     mu = stationary_distribution(BoundedGeometric(m, n, q))
     nu = {s: stationary_prob(s, unbounded_model) for s in mu}

@@ -155,11 +155,12 @@ def extended_kernel_row(m: int, rooks: RookConfig, q: Scalar) -> dict[RookConfig
     With no rook in the bottom row the step is a deterministic drift.
     Otherwise the bottom rook is removed, the rest drift, and the rook
     re-enters column 0: the k-th available row counting from the bottom is
-    hit with truncated-geometric probability proportional to q^k.
+    hit with truncated-geometric probability proportional to q^k, which is
+    uniform at q = 1.
     """
     validate_config(m, rooks)
-    if not 0 < q < 1:
-        raise ValueError(f"need 0 < q < 1, got q={q}")
+    if not 0 < q <= 1:
+        raise ValueError(f"need 0 < q <= 1, got q={q}")
     successors = _successors(m, rooks)
     return dict(zip(successors, truncated_geometric_pmf(len(successors), q)))
 

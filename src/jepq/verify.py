@@ -27,7 +27,7 @@ from .jep import (
     enumerate_states,
     stationary_distribution,
     stationary_prob,
-    stationary_weight,
+    stationary_weights,
     UnboundedGeometric,
 )
 from .oracle import (
@@ -41,7 +41,7 @@ from .rook import (
     circ,
     enumerate_configs,
     extended_ground,
-    extended_prob,
+    extended_weight,
     extensions,
     path_to_ground,
     row_projection,
@@ -129,10 +129,7 @@ def _check_normalization(max_m: int, qs) -> CheckResult:
                 if z != literal:
                     return CheckResult(name, False, f"scaled vs literal Z at ({m},{n},{q})")
                 if n >= 1:
-                    model = BoundedGeometric(m, n, q) if m >= 1 else None
-                    total = sum(
-                        stationary_weight(s, model) for s in enumerate_states(m, n)
-                    )
+                    total = sum(stationary_weights(BoundedGeometric(m, n, q)).values())
                     if total != z:
                         return CheckResult(name, False, f"weight sum != Z at ({m},{n},{q})")
     return CheckResult(name, True, f"weight sums equal the normalizer through m={max_m}")
@@ -170,8 +167,9 @@ def _check_extensions(max_m: int, qs) -> CheckResult:
                     return CheckResult(name, False, f"extension count at B={heights}, m={m}")
                 if sorted(row_projection(c) for c in exts) != [heights] * len(exts):
                     return CheckResult(name, False, f"bad row projection at B={heights}")
+                circs = [circ(m, c) for c in exts]
                 for q in qs:
-                    total = sum(q ** -circ(m, c) for c in exts)
+                    total = sum(q ** -value for value in circs)
                     product = Fraction(1)
                     direct = Fraction(1)
                     for k, x in enumerate(heights, start=1):
@@ -194,7 +192,8 @@ def _check_extended_chain(max_m: int, qs) -> CheckResult:
                     return CheckResult(name, False, f"ground unreachable from {config}")
             for q in qs:
                 tm = build_extended_matrix(m, n, q)
-                mu = {c: extended_prob(m, c, q) for c in configs}
+                z = gould_stirling(m + 1, m - n + 1, 1 / q)
+                mu = {c: extended_weight(m, c, q) / z for c in configs}
                 if sum(mu.values()) != 1:
                     return CheckResult(name, False, f"extended law not normalized at ({m},{n},{q})")
                 if tm.push(mu) != mu:

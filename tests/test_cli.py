@@ -29,6 +29,21 @@ def test_stationary_table_exact():
         assert float(F(row["prob"])) == row["prob_float"]
 
 
+def test_stationary_output_pinned():
+    # digests of the full report, recorded before the weights were
+    # computed in one pass
+    digests = {
+        "json": "c36fddad6ecc6b709218c9e375504f4e6d26966446f871fe438a6f09e3074dad",
+        "csv": "3ea34d137c37fe33101b68d0d62edf87e7ff75449b67c60c4558d6c69d705e29",
+    }
+    for fmt, digest in digests.items():
+        code, out = run_cli(
+            ["stationary", "--m", "14", "--n", "7", "--q", "1/2", "--format", fmt]
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_stationary_reports_both_throw_fractions():
     code, out = run_cli(["stationary", "--m", "3", "--n", "2", "--q", "1/2"])
     doc = json.loads(out)
@@ -194,6 +209,30 @@ def test_state_cap_env(monkeypatch, capsys):
     monkeypatch.setenv("JEPQ_STATE_CAP", "5")
     code, _ = run_cli(["converge", "--n", "3", "--q", "1/2", "--m-range", "8:9"])
     assert code == 2
+    # enumerating commands stop with one error line over the cap
+    for argv in (
+        ["stationary", "--m", "5", "--n", "2", "--q", "1/2"],  # 10 height sets
+        ["rook", "--m", "3", "--n", "2", "--q", "1/2"],  # 7 placements
+    ):
+        capsys.readouterr()
+        code, out = run_cli(argv)
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("jepq: error: ") and err.count("\n") == 1
+    code, out = run_cli(["stationary", "--m", "5", "--n", "1", "--q", "1/2"])
+    assert code == 0
+    assert len(json.loads(out)["rows"]) == 5
+    # simulate still runs; only the TV against the exact law is skipped
+    argv = ["simulate", "--m", "5", "--n", "2", "--q", "1/2", "--steps", "2000"]
+    code, out = run_cli(argv)
+    assert code == 0
+    summary = json.loads(out)["summary"]
+    assert summary["tv_empirical_vs_exact"] is None
+    assert summary["throw_fraction_exact"] == 13 / 16
+    monkeypatch.setenv("JEPQ_STATE_CAP", "10")
+    code, out = run_cli(argv)
+    assert isinstance(json.loads(out)["summary"]["tv_empirical_vs_exact"], float)
     # a malformed cap is rejected before any command runs
     for raw in ("abc", "0", "-5"):
         monkeypatch.setenv("JEPQ_STATE_CAP", raw)

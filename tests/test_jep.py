@@ -12,6 +12,7 @@ from jepq.jep import (
     stationary_distribution,
     stationary_prob,
     stationary_weight,
+    stationary_weights,
     step_kernel_row,
     theta,
     theta_rank,
@@ -129,6 +130,24 @@ def test_stationary_weight_anchors():
         assert stationary_weight(top, model) == q ** (n * m - binom2(n + 1))
         ground = tuple(range(n))
         assert stationary_weight(ground, model) == q_int(m - n + 1, q) ** n * q ** binom2(n)
+
+
+@pytest.mark.parametrize("q", (F(1, 3), F(1, 2), F(1), 0.3, 0.5))
+def test_stationary_weights_match_per_state(q):
+    for m in range(0, 8):
+        for n in range(m + 1):
+            model = BoundedGeometric(m, n, q)
+            weights = stationary_weights(model)
+            assert list(weights) == enumerate_states(m, n)
+            assert weights == {s: stationary_weight(s, model) for s in weights}
+            # reference: each q-integer summed afresh by q_int
+            for state, weight in weights.items():
+                ref = 1 + 0 * q
+                for k, x in enumerate(state, start=1):
+                    ref = ref * q_int(m - n - x + k, q)
+                assert weight == ref * q ** sum(state)
+    with pytest.raises(ValueError):
+        stationary_weights(UnboundedGeometric(2, F(1, 2)))
 
 
 def test_stationary_prob_anchors():

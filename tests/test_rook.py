@@ -20,6 +20,8 @@ from jepq.rook import (
 )
 
 QS = (F(1, 3), F(1, 2), F(2, 3))
+# the extended chain also runs at q = 1, where throws are uniform
+EXT_QS = (*QS, F(1))
 
 
 def classical_stirling(a, b):
@@ -115,7 +117,7 @@ def test_extended_kernel_examples():
     assert extended_kernel_row(3, (), q) == {(): 1}
 
 
-@pytest.mark.parametrize("q", QS)
+@pytest.mark.parametrize("q", EXT_QS)
 def test_extended_kernel_rows_stochastic(q):
     for m in range(1, 7):
         for n in range(m + 1):
@@ -123,7 +125,7 @@ def test_extended_kernel_rows_stochastic(q):
                 assert sum(extended_kernel_row(m, config, q).values()) == 1
 
 
-@pytest.mark.parametrize("q", QS)
+@pytest.mark.parametrize("q", EXT_QS)
 def test_extended_kernel_projects_to_base_kernel(q):
     from jepq.jep import step_kernel_row
 
@@ -148,7 +150,7 @@ def test_extended_weight_anchor():
     assert probs[((0, 0),)] == F(1, 2)
 
 
-@pytest.mark.parametrize("q", QS)
+@pytest.mark.parametrize("q", EXT_QS)
 def test_extended_stationarity_and_projection(q):
     from jepq.oracle import build_extended_matrix
 
@@ -158,6 +160,8 @@ def test_extended_stationarity_and_projection(q):
             mu = {c: extended_prob(m, c, q) for c in tm.states}
             assert sum(mu.values()) == 1
             assert tm.push(mu) == mu
+            if q == 1:
+                assert set(mu.values()) == {F(1, classical_stirling(m + 1, m + 1 - n))}
             if n:
                 marginal: dict = {}
                 for config, p in mu.items():

@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Subcommands: stationary, verify, simulate, converge, limits, rook. Output
-is JSON (default) or CSV; every rational quantity is emitted both as an
-exact "p/r" string and as a float, so reports can be re-parsed without
-losing exactness. The environment variable JEPQ_STATE_CAP overrides the
-default cap on enumerated state-space sizes.
+Subcommands: stationary, verify, simulate, converge, limits, rook; each
+accepts only the options it reads (see `_COMMANDS`). Output is JSON
+(verify defaults to text lines) or CSV; every rational quantity is
+emitted both as an exact "p/r" string and as a float, so reports can be
+re-parsed without losing exactness. The environment variable
+JEPQ_STATE_CAP overrides the default cap on enumerated state-space sizes.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parameter error.
 """
@@ -24,9 +25,9 @@ from .jep import (
     BoundedGeometric,
     BoundedUniform,
     UnboundedGeometric,
+    _unbounded_probs,
     closed_form_stats,
     stationary_distribution,
-    stationary_prob,
     stationary_weights,
 )
 from .mc import empirical_distribution, simulate
@@ -137,6 +138,9 @@ def _cmd_stationary(args) -> int:
 
 def _cmd_verify(args) -> int:
     qs = (args.q_value,) if args.q else DEFAULT_QS
+    # the circ and extension checks walk every placement up to max-m
+    for n in range(args.max_m + 1):
+        check_state_cap(args.max_m, n, args.state_cap, placements=True)
     results = run_checks(max_m=args.max_m, qs=qs)
     if args.format == "text":
         _write(
@@ -166,7 +170,7 @@ def _cmd_simulate(args) -> int:
         "states_visited": len(empirical),
     }
     if isinstance(model, UnboundedGeometric):
-        exact = {s: float(stationary_prob(s, model)) for s in empirical}
+        exact = {s: float(p) for s, p in _unbounded_probs(model, empirical).items()}
         summary["tv_empirical_vs_exact"] = total_variation(
             empirical, exact, nu_tail=1.0 - sum(exact.values())
         )
@@ -288,51 +292,36 @@ def _parse_m_range(text: str) -> tuple[int, int]:
     return lo_i, hi_i
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--m", type=int, default=None, help="number of admissible heights")
-    parser.add_argument("--n", type=int, default=None, help="number of particles")
-    parser.add_argument("--q", type=str, default=None, help='throw parameter, "p/r" or decimal')
-    parser.add_argument(
-        "--model",
+_OPTIONS = {
+    "m": dict(type=int, help="number of admissible heights"),
+    "n": dict(type=int, help="number of particles"),
+    "q": dict(help='throw parameter, "p/r" or decimal'),
+    "model": dict(
         choices=["bounded-geometric", "unbounded-geometric", "bounded-uniform"],
         default="bounded-geometric",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="64-bit simulation seed")
-    parser.add_argument("--steps", type=int, default=100_000)
-    parser.add_argument("--burn-in", dest="burn_in", type=int, default=1000)
-    parser.add_argument("--m-range", dest="m_range", type=_parse_m_range, default=None)
-    parser.add_argument("--max-m", dest="max_m", type=int, default=6)
-    parser.add_argument("--format", choices=["json", "csv"], default=None)
-    parser.add_argument("--exact", action="store_true", help="keep q as an exact rational")
-    parser.add_argument(
-        "--paper-literal",
-        dest="paper_literal",
+    ),
+    "seed": dict(type=int, default=0, help="64-bit simulation seed"),
+    "steps": dict(type=int, default=100_000),
+    "burn-in": dict(type=int, default=1000),
+    "m-range": dict(type=_parse_m_range),
+    "max-m": dict(type=int, default=6),
+    "exact": dict(action="store_true", help="keep q as an exact rational"),
+    "paper-literal": dict(
         action="store_true",
         help="report the uncorrected published forms instead of the corrected ones",
-    )
-    parser.add_argument("--out", type=str, default=None, help="write the report to a file")
+    ),
+}
 
-
+# The options each command reads; "!" marks a required one. A command
+# without --exact always keeps q exact.
 _COMMANDS = {
-    "stationary": _cmd_stationary,
-    "verify": _cmd_verify,
-    "simulate": _cmd_simulate,
-    "converge": _cmd_converge,
-    "limits": _cmd_limits,
-    "rook": _cmd_rook,
+    "stationary": (_cmd_stationary, "m n! q model"),
+    "verify": (_cmd_verify, "max-m q"),
+    "simulate": (_cmd_simulate, "m n! q model seed steps burn-in exact"),
+    "converge": (_cmd_converge, "n! q! m-range! exact"),
+    "limits": (_cmd_limits, "n q! m-range! exact paper-literal"),
+    "rook": (_cmd_rook, "m! n! q!"),
 }
-
-_REQUIRED = {
-    "stationary": ("m", "n"),
-    "verify": (),
-    "simulate": ("n",),
-    "converge": ("n", "q", "m_range"),
-    "limits": ("q", "m_range"),
-    "rook": ("m", "n", "q"),
-}
-
-# Identity-facing commands always keep q exact; --exact opts in elsewhere.
-_EXACT_COMMANDS = {"stationary", "verify", "rook"}
 
 
 def main(argv=None) -> int:
@@ -342,16 +331,18 @@ def main(argv=None) -> int:
         "for juggling exclusion chains.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in _COMMANDS:
-        _add_common(sub.add_parser(command))
+    for command, (handler, options) in _COMMANDS.items():
+        cmd = sub.add_parser(command)
+        for option in options.split():
+            name = option.rstrip("!")
+            cmd.add_argument(f"--{name}", required=option.endswith("!"), **_OPTIONS[name])
+        formats = ["text", "json", "csv"] if command == "verify" else ["json", "csv"]
+        cmd.add_argument("--format", choices=formats, default=formats[0])
+        cmd.add_argument("--out", help="write the report to a file")
+        cmd.set_defaults(handler=handler)
     args = parser.parse_args(argv)
 
-    if args.format is None:
-        args.format = "text" if args.command == "verify" else "json"
-    for field in _REQUIRED[args.command]:
-        if getattr(args, field) is None:
-            parser.error(f"{args.command} requires --{field.replace('_', '-')}")
-    if args.command in ("stationary", "simulate"):
+    if "model" in args:
         if args.model != "unbounded-geometric" and args.m is None:
             parser.error(f"bounded {args.command} requires --m")
         if args.model != "bounded-uniform" and args.q is None:
@@ -360,14 +351,14 @@ def main(argv=None) -> int:
     args.q_value = None
     if args.q is not None:
         try:
-            args.q_value = parse_scalar(
-                args.q, exact=args.exact or args.command in _EXACT_COMMANDS
-            )
+            args.q_value = parse_scalar(args.q, exact=getattr(args, "exact", True))
         except (ValueError, ZeroDivisionError):
             parser.error(f"cannot parse q={args.q!r}")
+        except OverflowError:
+            parser.error(f"q={args.q!r} exceeds the float range")
     try:
         args.state_cap = _state_cap()
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except ValueError as err:
         print(f"jepq: error: {err}", file=sys.stderr)
         return 2

@@ -280,13 +280,20 @@ def stationary_weights(model: ThrowModel) -> dict[State, Scalar]:
     }
 
 
+def _unbounded_probs(model: UnboundedGeometric, states) -> dict[State, Scalar]:
+    """Unbounded stationary probabilities of the given (valid) states: one
+    normalizer (q;q)_n q^(-binom(n,2)) times each weight q^(sum of heights)."""
+    n, q = model.n, model.q
+    scale = q_pochhammer(n, q) * q ** (-binom2(n))
+    return {state: scale * q ** sum(state) for state in states}
+
+
 def stationary_prob(state: State, model: ThrowModel) -> Scalar:
     """Stationary probability of a state under the model's closed form."""
-    weight = stationary_weight(state, model)
     if isinstance(model, BoundedGeometric):
-        return weight / partition_z(model.m, model.n, model.q)
-    n, q = model.n, model.q
-    return q_pochhammer(n, q) * q ** (-binom2(n)) * weight
+        return stationary_weight(state, model) / partition_z(model.m, model.n, model.q)
+    validate_state(state, model)
+    return _unbounded_probs(model, [state])[state]
 
 
 def stationary_distribution(model: ThrowModel) -> dict[State, Scalar]:

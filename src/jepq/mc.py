@@ -155,6 +155,8 @@ def simulate(model: ThrowModel, initial: State, steps: int, seed: int, stream: i
 
 def empirical_distribution(traj: Trajectory, burn_in: int = 1000) -> dict[State, float]:
     """Visit frequencies over the states at times burn_in..T."""
+    if burn_in < 0:
+        raise ValueError(f"need burn_in >= 0, got {burn_in}")
     if burn_in >= len(traj.states):
         raise ValueError(f"burn_in {burn_in} leaves no samples")
     sample = traj.states[burn_in:]

@@ -23,9 +23,9 @@ from .jep import (
     BoundedGeometric,
     ThrowModel,
     UnboundedGeometric,
+    _unbounded_probs,
     enumerate_states,
     stationary_distribution,
-    stationary_prob,
     step_kernel_row,
 )
 from .rook import enumerate_configs, extended_kernel_row
@@ -218,9 +218,8 @@ def tv_to_unbounded(m: int, n: int, q: Scalar, state_cap: int = DEFAULT_STATE_CA
     them; no truncation error enters.
     """
     check_state_cap(m, n, state_cap)
-    unbounded_model = UnboundedGeometric(n, q)
     mu = stationary_distribution(BoundedGeometric(m, n, q))
-    nu = {s: stationary_prob(s, unbounded_model) for s in mu}
+    nu = _unbounded_probs(UnboundedGeometric(n, q), mu)
     tail = 1 - sum(nu.values())
     ell = m - n + 1
     return ConvergenceRow(

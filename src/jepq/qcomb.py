@@ -122,7 +122,8 @@ def q_stirling(a: int, b: int, q: Scalar) -> Scalar:
 
     Bottom-up evaluation of the triangle S[a+1, b] = q^(b-1) S[a, b-1]
     + [b] S[a, b] with S[0, 0] = 1 and zero outside 0 <= b <= a. Accepts
-    any q > 0, including q > 1 (the partition normalizer needs base 1/q).
+    any q > 0, including q > 1 (verify's literal-normalizer check
+    evaluates it at base 1/q).
     Out-of-range b returns 0 rather than raising.
     """
     row = _triangle(a, q, lambda qpow, r: qpow[: r + 1])

@@ -13,6 +13,8 @@ drift, and the removed rook re-enters column 0 at a random row.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .qcomb import Scalar, gould_stirling
 from .jep import State, truncated_geometric_pmf
 
@@ -67,23 +69,7 @@ def enumerate_configs(m: int, n: int) -> list[RookConfig]:
     sorted lexicographically by (row, column) cell lists."""
     if not 0 <= n <= m:
         raise ValueError(f"need 0 <= n <= m, got m={m} n={n}")
-    configs: list[RookConfig] = []
-
-    def place(row: int, remaining: int, used_cols: frozenset, acc: list[Cell]) -> None:
-        if remaining == 0:
-            configs.append(_canonical(acc))
-            return
-        if row < 0 or row + 1 < remaining:
-            return
-        place(row - 1, remaining, used_cols, acc)
-        for c in range(m - row):
-            if c not in used_cols:
-                acc.append((row, c))
-                place(row - 1, remaining - 1, used_cols | {c}, acc)
-                acc.pop()
-
-    place(m - 1, n, frozenset(), [])
-    return sorted(configs)
+    return sorted(c for rows in combinations(range(m), n) for c in extensions(rows, m))
 
 
 def circ(m: int, rooks: RookConfig) -> int:

@@ -17,7 +17,7 @@ def run_cli(argv):
 
 
 def test_stationary_table_exact():
-    code, out = run_cli(["stationary", "--m", "2", "--n", "1", "--q", "1/2", "--exact"])
+    code, out = run_cli(["stationary", "--m", "2", "--n", "1", "--q", "1/2"])
     assert code == 0
     doc = json.loads(out)
     assert doc["summary"]["Z"] == {"exact": "2", "float": 2.0}
@@ -242,3 +242,67 @@ def test_state_cap_env(monkeypatch, capsys):
         assert out == ""
         err = capsys.readouterr().err
         assert "JEPQ_STATE_CAP" in err and repr(raw) in err
+
+
+def exit_code(argv):
+    """The exit code of one run, whether main returns it or argparse exits."""
+    try:
+        return run_cli(argv)[0]
+    except SystemExit as info:
+        return info.code
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # an option the command does not read is a usage error
+        (["stationary", "--m", "2", "--n", "1", "--q", "1/2", "--seed", "1"], 2),
+        (["stationary", "--m", "2", "--n", "1", "--q", "1/2", "--exact"], 2),
+        (["rook", "--m", "3", "--n", "2", "--q", "1/2", "--model", "bounded-uniform"], 2),
+        (["converge", "--n", "2", "--q", "1/2", "--m-range", "2:3", "--steps", "5"], 2),
+        (["verify", "--max-m", "3", "--n", "3"], 2),
+        # a missing required option
+        (["rook", "--m", "3", "--n", "2"], 2),
+        (["converge", "--n", "2", "--q", "1/2"], 2),
+        (["limits", "--q", "1/2"], 2),
+        (["stationary", "--m", "3", "--q", "1/2"], 2),
+        (["simulate", "--n", "2", "--q", "1/2"], 2),
+        (["verify", "--max-m", "3", "--format", "csv"], 0),
+    ],
+)
+def test_parser_surface(argv, code):
+    assert exit_code(argv) == code
+
+
+def test_verify_option_spellings():
+    default = run_cli(["verify", "--max-m", "4"])
+    assert default[0] == 0
+    assert run_cli(["verify", "--max-m", "4", "--format", "text"]) == default
+    # --m is an unambiguous prefix of --max-m
+    assert run_cli(["verify", "--m", "4"]) == default
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["converge", "--n", "2", "--q", "1e400", "--m-range", "2:3"],
+        ["simulate", "--m", "4", "--n", "2", "--q", "1/2", "--steps", "100",
+         "--burn-in", "-5"],
+        ["verify", "--max-m", "10"],
+    ],
+)
+def test_bad_input_is_one_error_line(argv, capsys):
+    assert exit_code(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("jepq")
+
+
+def test_verify_respects_state_cap(monkeypatch, capsys):
+    monkeypatch.setenv("JEPQ_STATE_CAP", "5")
+    code, out = run_cli(["verify", "--max-m", "4"])  # S(5, 4) = 10 placements
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("jepq: error: ") and err.count("\n") == 1

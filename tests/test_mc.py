@@ -135,6 +135,12 @@ def test_empirical_distribution_basics():
     assert empirical_distribution(constant, burn_in=0) == {(): 1.0}
 
 
+def test_empirical_distribution_rejects_negative_burn_in():
+    traj = simulate(BoundedGeometric(4, 2, F(1, 2)), (0, 1), 50, seed=3)
+    with pytest.raises(ValueError):
+        empirical_distribution(traj, burn_in=-5)
+
+
 def test_empirical_tv_shrinks_with_run_length():
     model = BoundedGeometric(6, 3, 0.5)
     exact = {s: float(p) for s, p in stationary_distribution(BoundedGeometric(6, 3, F(1, 2))).items()}

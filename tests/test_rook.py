@@ -64,6 +64,16 @@ def test_enumerate_configs_counts():
             assert len(enumerate_configs(m, n)) == classical_stirling(m + 1, m + 1 - n)
 
 
+def test_enumerate_configs_are_distinct_placements():
+    for m in range(7):
+        for n in range(m + 1):
+            configs = enumerate_configs(m, n)
+            assert configs == sorted(set(configs))
+            for config in configs:
+                validate_config(m, config)
+                assert len(config) == n
+
+
 def test_circ_examples():
     assert circ(2, ((1, 0),)) == 0
     assert circ(2, ((0, 0),)) == 1

@@ -66,7 +66,11 @@ def _state_key(state) -> str:
 def _scalar_fields(value: Scalar) -> dict:
     if isinstance(value, float):
         return {"exact": None, "float": value}
-    return {"exact": str(Fraction(value)), "float": float(value)}
+    try:
+        as_float = float(value)
+    except OverflowError:
+        raise ValueError("a reported value exceeds the float range") from None
+    return {"exact": str(Fraction(value)), "float": as_float}
 
 
 def _scalar_cell(value: Scalar) -> str:
@@ -75,8 +79,11 @@ def _scalar_cell(value: Scalar) -> str:
 
 def _write(text: str, args) -> None:
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w") as handle:
+                handle.write(text)
+        except OSError as err:
+            raise ValueError(f"cannot write {args.out}: {err.strerror}") from None
     else:
         sys.stdout.write(text)
 

@@ -284,7 +284,10 @@ def _unbounded_probs(model: UnboundedGeometric, states) -> dict[State, Scalar]:
     """Unbounded stationary probabilities of the given (valid) states: one
     normalizer (q;q)_n q^(-binom(n,2)) times each weight q^(sum of heights)."""
     n, q = model.n, model.q
-    scale = q_pochhammer(n, q) * q ** (-binom2(n))
+    try:
+        scale = q_pochhammer(n, q) * q ** (-binom2(n))
+    except OverflowError:
+        raise ValueError(f"q={q} is too small: q^-{binom2(n)} exceeds the float range") from None
     return {state: scale * q ** sum(state) for state in states}
 
 

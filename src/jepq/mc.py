@@ -10,7 +10,9 @@ replica index into the seed rather than by sharing state.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable
 
 from .qcomb import Scalar
@@ -78,8 +80,9 @@ class RngStream:
         if q == 1:
             return self.randrange(ell)
         u = self.uniform()
+        # the two logarithms share a sign, so x >= 0; rounding can reach ell
         x = int(math.log(1.0 - u * (1.0 - q**ell)) / math.log(q))
-        return min(max(x, 0), ell - 1)
+        return x if x < ell else ell - 1
 
 
 @dataclass
@@ -128,29 +131,74 @@ def sample_throw(rng: RngStream, after_shift: State, model: ThrowModel) -> int:
     return theta(after_shift, _rank_sampler(rng, model)())
 
 
-def _step(state: State, rank: Callable[[], int]) -> tuple[State, bool]:
-    """One transition; ``rank`` is called for the throw rank on throw steps
-    only, so a chain that merely falls consumes no randomness."""
-    if not state or state[0] != 0:
-        return tuple(b - 1 for b in state), False
-    x_star = tuple(b - 1 for b in state[1:])
-    return tuple(sorted(x_star + (theta(x_star, rank()),))), True
+def _step(state: State, rank: int | None) -> State:
+    """One transition: every ball falls one height, and on a throw step
+    (``rank`` not None) the ball that fell from height 0 lands on vacancy
+    ``rank`` of the shifted state."""
+    shifted = tuple([b - 1 for b in state])
+    if rank is None:
+        return shifted
+    x_star = shifted[1:]
+    return tuple(sorted(x_star + (theta(x_star, rank),)))
+
+
+class _Successors:
+    """The transitions one run takes, over interned states.
+
+    Each distinct state is stored once, in ``states``, under an integer id.
+    ``rows[i]`` is the id state i falls to (None until that step is first
+    taken) or, when state i has a ball at height 0, its throw row
+    {rank: id}. Missing entries are filled by `_step`. Given the rank, a
+    transition does not depend on the throw model, so chains of different
+    models can share one table. ``throws`` counts the throw steps taken.
+    """
+
+    def __init__(self, initial: State):
+        self.states: list[State] = []
+        self.ids: dict[State, int] = {}
+        self.rows: list[int | dict[int, int] | None] = []
+        self.throws = 0
+        self._intern(initial)
+
+    def _intern(self, state: State) -> int:
+        i = self.ids.get(state)
+        if i is None:
+            i = self.ids[state] = len(self.states)
+            self.states.append(state)
+            self.rows.append({} if state[:1] == (0,) else None)
+        return i
+
+    def step(self, i: int, rank: Callable[[], int]) -> int:
+        """The id after one step from id ``i``; ``rank`` is called for the
+        throw rank on throw steps only, so a chain that merely falls
+        consumes no randomness."""
+        row = self.rows[i]
+        if isinstance(row, dict):
+            self.throws += 1
+            r = rank()
+            j = row.get(r)
+            if j is None:
+                j = row[r] = self._intern(_step(self.states[i], r))
+            return j
+        if row is None:
+            row = self.rows[i] = self._intern(_step(self.states[i], None))
+        return row
 
 
 def simulate(model: ThrowModel, initial: State, steps: int, seed: int, stream: int = 0) -> Trajectory:
-    """Run the chain for ``steps`` transitions from ``initial``."""
+    """Run the chain for ``steps`` transitions from ``initial``. The
+    trajectory holds one reference per step to the run's interned states."""
     validate_state(initial, model)
     if steps < 0:
         raise ValueError(f"need steps >= 0, got {steps}")
     rank = _rank_sampler(RngStream(seed, stream), model)
+    table = _Successors(initial)
     states = [initial]
-    current = initial
-    throws = 0
+    current = 0
     for _ in range(steps):
-        current, threw = _step(current, rank)
-        throws += threw
-        states.append(current)
-    return Trajectory(initial=initial, states=states, throw_count=throws)
+        current = table.step(current, rank)
+        states.append(table.states[current])
+    return Trajectory(initial=initial, states=states, throw_count=table.throws)
 
 
 def empirical_distribution(traj: Trajectory, burn_in: int = 1000) -> dict[State, float]:
@@ -159,11 +207,8 @@ def empirical_distribution(traj: Trajectory, burn_in: int = 1000) -> dict[State,
         raise ValueError(f"need burn_in >= 0, got {burn_in}")
     if burn_in >= len(traj.states):
         raise ValueError(f"burn_in {burn_in} leaves no samples")
-    sample = traj.states[burn_in:]
-    counts: dict[State, int] = {}
-    for state in sample:
-        counts[state] = counts.get(state, 0) + 1
-    total = len(sample)
+    counts = Counter(islice(traj.states, burn_in, None))
+    total = len(traj.states) - burn_in
     return {state: c / total for state, c in counts.items()}
 
 
@@ -196,17 +241,17 @@ def coupled_simulate(
     rng = RngStream(seed, stream)
     qf = float(q)
     ell = bounded.ell
+    table = _Successors(initial)
     b_states = [initial]
     u_states = [initial]
-    b_cur = initial
-    u_cur = initial
+    b_cur = u_cur = 0
     decouple: int | None = None
     for t in range(1, steps + 1):
         xi, xi_hat, agreed = coupled_throw_pair(rng, ell, qf)
-        b_cur, _ = _step(b_cur, lambda: xi_hat)
-        u_cur, _ = _step(u_cur, lambda: xi)
-        b_states.append(b_cur)
-        u_states.append(u_cur)
+        b_cur = table.step(b_cur, lambda: xi_hat)
+        u_cur = table.step(u_cur, lambda: xi)
+        b_states.append(table.states[b_cur])
+        u_states.append(table.states[u_cur])
         if decouple is None:
             if not agreed:
                 decouple = t

@@ -169,9 +169,13 @@ def partition_z(m: int, n: int, q: Scalar) -> Scalar:
     range at sizes where the raw q-Stirling factor would overflow. Exact
     inputs give the exact value. q = 1 is allowed as the classical limit;
     there the result counts rook extensions, which is the normalizer of the
-    uniform-throw model.
+    uniform-throw model. A float q so small that Z underflows to 0 is
+    rejected, since every probability divides by Z.
     """
-    return scaled_partition_z(m, n, q) * q ** binom2(n)
+    z = scaled_partition_z(m, n, q) * q ** binom2(n)
+    if not z:
+        raise ValueError(f"q={q} is too small: Z underflows to 0")
+    return z
 
 
 def binom2(k: int) -> int:

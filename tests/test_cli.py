@@ -131,6 +131,35 @@ def test_simulate_summary():
     assert rows_digest == "73bd4b1313d4f0778c8e0a08ed2a8c4c1b47b56b4db0c91ff3603f3136790eb7"
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["--m", "8", "--n", "3", "--q", "1/2", "--steps", "20000"],
+            "e4a5457fb0163cc92a4c577658135d1e2178c7a9249c7847a5585b2a4f19cb41",
+        ),
+        (
+            ["--m", "8", "--n", "3", "--q", "0.3", "--steps", "20000"],
+            "fc28f19efbf316a02e047a3ee22de4124d13bdb48cf4b4426ecba189b75ffbae",
+        ),
+        (
+            ["--model", "unbounded-geometric", "--n", "4", "--q", "1/2", "--steps", "20000"],
+            "ea1568e317a22be820efe5c5f7b65526a0db12f812131d40e8d4f73b066b4734",
+        ),
+        (
+            ["--m", "4", "--n", "4", "--q", "1/2", "--steps", "2000", "--burn-in", "10"],
+            "9486f41485f5f611e18abdf2a7b066f115197ea90e786c51afb799e592203a7b",
+        ),
+    ],
+)
+def test_simulate_output_pinned(argv, digest):
+    # digests of the full report, recorded before the chains ran over a
+    # successor table: the draws and the paths must not change
+    code, out = run_cli(["simulate", *argv, "--seed", "5"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_converge_rows_respect_bounds():
     code, out = run_cli(
         ["converge", "--n", "2", "--q", "1/2", "--m-range", "2:14", "--exact"]
@@ -289,6 +318,13 @@ def test_verify_option_spellings():
         ["simulate", "--m", "4", "--n", "2", "--q", "1/2", "--steps", "100",
          "--burn-in", "-5"],
         ["verify", "--max-m", "10"],
+        # q^-binom(n, 2) beyond the float range
+        ["converge", "--n", "2", "--q", "1e-320", "--m-range", "2:5"],
+        ["simulate", "--model", "unbounded-geometric", "--n", "3", "--q", "1e-300",
+         "--steps", "100", "--burn-in", "10"],
+        # Z underflows to 0
+        ["simulate", "--m", "6", "--n", "5", "--q", "1e-200", "--steps", "100",
+         "--burn-in", "0"],
     ],
 )
 def test_bad_input_is_one_error_line(argv, capsys):
@@ -299,6 +335,15 @@ def test_bad_input_is_one_error_line(argv, capsys):
     assert err.splitlines()[-1].startswith("jepq")
 
 
+def test_unwritable_out_is_one_error_line(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    argv = ["stationary", "--m", "3", "--n", "2", "--q", "1/2", "--out", str(target)]
+    assert exit_code(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("jepq: error: cannot write ") and err.count("\n") == 1
+
+
 def test_verify_respects_state_cap(monkeypatch, capsys):
     monkeypatch.setenv("JEPQ_STATE_CAP", "5")
     code, out = run_cli(["verify", "--max-m", "4"])  # S(5, 4) = 10 placements
@@ -306,3 +351,55 @@ def test_verify_respects_state_cap(monkeypatch, capsys):
     assert out == ""
     err = capsys.readouterr().err
     assert err.startswith("jepq: error: ") and err.count("\n") == 1
+
+
+# Each argv below once ended, or could end, in a traceback; "{missing}" is a
+# path in a directory that does not exist.
+HOSTILE_ARGVS = [
+    "stationary --m 3 --n 2 --q 1/2 --out {missing}",
+    "converge --n 2 --q 1e-320 --m-range 2:5",
+    "simulate --model unbounded-geometric --n 3 --q 1e-300 --steps 100 --burn-in 10",
+    "simulate --model unbounded-geometric --n 2 --q 1e-320 --steps 100 --burn-in 0",
+    "simulate --m 4 --n 2 --q 1/2 --steps -1",
+    "simulate --m 4 --n 2 --q 1/2 --steps 0 --burn-in 0",
+    "simulate --m 4 --n 2 --q 1/2 --steps 10 --burn-in 100",
+    "simulate --m 4 --n 2 --q 1/2 --seed -1",
+    "simulate --m 4 --n 2 --q 1/2 --seed 18446744073709551616",
+    "simulate --m 6 --n 5 --q 1e-200 --steps 100 --burn-in 0",
+    "simulate --model unbounded-geometric --n 2 --q 1 --steps 10",
+    "simulate --model bounded-uniform --m 3 --n 4",
+    "converge --n 2 --q 1e400 --m-range 2:3",
+    "converge --n 6 --q 1e-60 --m-range 6:8",
+    "converge --n 0 --q 1/2 --m-range 0:3",
+    "converge --n 2 --q 1 --m-range 2:3",
+    "converge --n 2 --q 1/2 --m-range 5:2",
+    "converge --n 2 --q 1/2 --m-range a:b",
+    "stationary --m 3 --n 2 --q 1e400",
+    "stationary --m 3 --n 2 --q 1e-320",
+    "stationary --m 6 --n 5 --q 1e-200",
+    "stationary --m 3 --n 2 --q 0",
+    "stationary --m 3 --n 2 --q nan",
+    "stationary --m 3 --n 2 --q inf",
+    "stationary --m 3 --n 2 --q 1/0",
+    "stationary --m -1 --n 0 --q 1/2",
+    "stationary --m 3 --n -1 --q 1/2",
+    "stationary --m 3 --n 2 --q 1/2 --format xml",
+    "limits --q 1 --m-range 1:5",
+    "limits --q 1e-320 --m-range 1:5",
+    "limits --n 2 --q 1e-320 --m-range 2:5",
+    "rook --m 3 --n 2 --q 1e400",
+    "rook --m 3 --n 5 --q 1/2",
+    "rook --m -2 --n 1 --q 1/2",
+    "rook --m 0 --n 0 --q 1/2",
+    "verify --max-m -1",
+    "verify --max-m 2 --q 1",
+    "nonsense",
+]
+
+
+@pytest.mark.parametrize("line", HOSTILE_ARGVS)
+def test_hostile_input_never_tracebacks(line, tmp_path, capsys):
+    argv = line.format(missing=tmp_path / "missing" / "x.json").split()
+    # an exception escaping main is what a command-line user sees as a traceback
+    assert exit_code(argv) in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err

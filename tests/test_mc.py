@@ -3,12 +3,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from jepq import mc
 from jepq.jep import (
     BoundedGeometric,
     BoundedUniform,
     UnboundedGeometric,
     stationary_distribution,
     stationary_prob,
+    theta,
     truncated_geometric_pmf,
 )
 from jepq.mc import (
@@ -122,6 +124,72 @@ def test_simulate_transitions_are_legal():
         assert cur in step_kernel_row(prev, model)
         throws += prev[0] == 0
     assert throws == traj.throw_count
+
+
+def reference_step(state, draw):
+    """One transition written out with `theta`; ``draw`` gives the throw
+    rank and is called on throw steps only."""
+    if state and state[0] == 0:
+        rest = [b - 1 for b in state[1:]]
+        return tuple(sorted(rest + [theta(rest, draw())])), True
+    return tuple(b - 1 for b in state), False
+
+
+@pytest.mark.parametrize(
+    "model, initial",
+    [
+        (BoundedGeometric(7, 3, F(1, 2)), (0, 1, 2)),
+        (BoundedGeometric(7, 3, 0.3), (0, 1, 2)),
+        (BoundedUniform(7, 3), (0, 1, 2)),
+        (UnboundedGeometric(4, F(1, 2)), (0, 1, 2, 3)),
+        (BoundedGeometric(4, 0, F(1, 2)), ()),
+    ],
+    ids=["half", "float", "uniform", "unbounded", "empty"],
+)
+def test_simulate_matches_reference_loop_and_interns(model, initial, monkeypatch):
+    tables = []
+
+    class Recorded(mc._Successors):
+        def __init__(self, first):
+            super().__init__(first)
+            tables.append(self)
+
+    monkeypatch.setattr(mc, "_Successors", Recorded)
+    rng = RngStream(21)
+    q = float(model.q)
+    if isinstance(model, UnboundedGeometric):
+        draw = lambda: rng.geometric(q)
+    else:
+        draw = lambda: rng.truncated_geometric(model.ell, q)
+    states, throws = [initial], 0
+    for _ in range(5000):
+        state, threw = reference_step(states[-1], draw)
+        states.append(state)
+        throws += threw
+    traj = simulate(model, initial, 5000, seed=21)
+    assert traj.states == states
+    assert traj.throw_count == throws
+    # each distinct state is one object, shared by every step that visits it,
+    # and the run's table holds one entry per distinct state visited
+    assert len({id(s) for s in traj.states}) == len(set(traj.states))
+    assert len(tables[0].states) == len(tables[0].rows) == len(set(traj.states))
+
+
+def test_coupled_simulate_matches_reference_loop_and_interns():
+    initial = (0, 1, 2)
+    run = coupled_simulate(6, 3, F(1, 2), initial, 5000, seed=8)
+    assert run.first_decouple_step is not None
+    rng = RngStream(8)
+    bounded, unbounded = [initial], [initial]
+    for _ in range(5000):
+        xi, xi_hat, _ = coupled_throw_pair(rng, 4, 0.5)
+        bounded.append(reference_step(bounded[-1], lambda: xi_hat)[0])
+        unbounded.append(reference_step(unbounded[-1], lambda: xi)[0])
+    assert run.bounded_states == bounded
+    assert run.unbounded_states == unbounded
+    # the two paths draw their states from one table
+    both = run.bounded_states + run.unbounded_states
+    assert len({id(s) for s in both}) == len(set(both))
 
 
 def test_empirical_distribution_basics():

@@ -28,16 +28,16 @@ from .jep import (
     stationary_weights,
     step_kernel_row,
     theta,
-    throw_pmf,
     throw_prob,
     truncated_geometric_pmf,
 )
 from .rook import (
     circ,
+    circ_histogram,
     enumerate_configs,
+    extended_distribution,
     extended_ground,
     extended_kernel_row,
-    extended_prob,
     extended_weight,
     extensions,
     row_projection,
@@ -62,7 +62,6 @@ from .mc import (
     coupled_simulate,
     coupled_throw_pair,
     empirical_distribution,
-    sample_throw,
     simulate,
 )
 from .verify import CheckResult, run_checks

@@ -40,7 +40,7 @@ from .oracle import (
     tv_to_unbounded,
 )
 from .qcomb import gould_stirling, partition_z
-from .rook import circ, enumerate_configs
+from .rook import circ_histogram
 from .verify import DEFAULT_QS, run_checks
 
 __all__ = ["main"]
@@ -63,6 +63,19 @@ def _state_key(state) -> str:
     return "-".join(str(h) for h in state) if state else "empty"
 
 
+def _exact_str(value: Scalar) -> str:
+    """The "p/r" string of an exact value."""
+    value = Fraction(value)
+    try:
+        return str(value)
+    except ValueError:  # beyond Python's limit on int-to-decimal conversion
+        bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+        raise ValueError(
+            f"an exact value of about {round(bits * 0.30103)} digits is too long "
+            "to print; choose a --q whose powers have shorter exact forms"
+        ) from None
+
+
 def _scalar_fields(value: Scalar) -> dict:
     if isinstance(value, float):
         return {"exact": None, "float": value}
@@ -70,11 +83,11 @@ def _scalar_fields(value: Scalar) -> dict:
         as_float = float(value)
     except OverflowError:
         raise ValueError("a reported value exceeds the float range") from None
-    return {"exact": str(Fraction(value)), "float": as_float}
+    return {"exact": _exact_str(value), "float": as_float}
 
 
 def _scalar_cell(value: Scalar) -> str:
-    return repr(value) if isinstance(value, float) else str(Fraction(value))
+    return repr(value) if isinstance(value, float) else _exact_str(value)
 
 
 def _write(text: str, args) -> None:
@@ -260,24 +273,17 @@ def _cmd_limits(args) -> int:
 
 def _cmd_rook(args) -> int:
     check_state_cap(args.m, args.n, args.state_cap, placements=True)
-    configs = enumerate_configs(args.m, args.n)
-    histogram: dict[int, int] = {}
-    for config in configs:
-        value = circ(args.m, config)
-        histogram[value] = histogram.get(value, 0) + 1
+    histogram = circ_histogram(args.m, args.n)
     total = sum(
         count * args.q_value**value for value, count in histogram.items()
     )
     gould = gould_stirling(args.m + 1, args.m - args.n + 1, args.q_value)
-    rows = [
-        {"circ": value, "count": count}
-        for value, count in sorted(histogram.items())
-    ]
+    rows = [{"circ": value, "count": count} for value, count in histogram.items()]
     report = {
         "summary": {
             "m": args.m,
             "n": args.n,
-            "configs": len(configs),
+            "configs": sum(histogram.values()),
             "q": _scalar_fields(args.q_value),
             "circ_sum": _scalar_fields(total),
             "gould_value": _scalar_fields(gould),

@@ -26,7 +26,6 @@ __all__ = [
     "UnboundedGeometric",
     "BoundedUniform",
     "ThrowModel",
-    "ThrowPmf",
     "SteadyStats",
     "enumerate_states",
     "validate_state",
@@ -34,7 +33,6 @@ __all__ = [
     "theta_rank",
     "truncated_geometric_pmf",
     "throw_prob",
-    "throw_pmf",
     "step_kernel_row",
     "stationary_weight",
     "stationary_weights",
@@ -86,15 +84,6 @@ def BoundedUniform(m: int, n: int) -> BoundedGeometric:
 
 
 ThrowModel = Union[BoundedGeometric, UnboundedGeometric]
-
-
-@dataclass(frozen=True)
-class ThrowPmf:
-    """A throw-height law: finitely many atoms plus, for the unbounded
-    model, the exact mass sitting above the materialization ceiling."""
-
-    probs: dict[int, Scalar]
-    tail: Scalar
 
 
 @dataclass(frozen=True)
@@ -188,31 +177,6 @@ def throw_prob(x_star: State, height: int, model: ThrowModel) -> Scalar:
     return truncated_geometric_pmf(model.ell, model.q)[rank]
 
 
-def throw_pmf(x_star: State, model: ThrowModel, ceiling: int | None = None) -> ThrowPmf:
-    """The full throw-height law from after-shift state ``x_star``.
-
-    Bounded models return every atom and a zero tail. The unbounded model
-    materializes atoms at heights <= ceiling and reports the exact leftover
-    mass as the tail, so downstream distance computations stay exact.
-    """
-    _validate_after_shift(x_star, model)
-    if isinstance(model, UnboundedGeometric):
-        if ceiling is None:
-            raise ValueError("unbounded model needs a materialization ceiling")
-        q = model.q
-        probs = {}
-        rank = 0
-        for h in range(ceiling + 1):
-            if h in x_star:
-                continue
-            probs[h] = (1 - q) * q**rank
-            rank += 1
-        return ThrowPmf(probs, q**rank)
-    vacancies = [h for h in range(model.m) if h not in x_star]
-    pmf = truncated_geometric_pmf(model.ell, model.q)
-    return ThrowPmf(dict(zip(vacancies, pmf)), 0)
-
-
 def step_kernel_row(state: State, model: ThrowModel) -> dict[State, Scalar]:
     """One row of the transition kernel: successor states and probabilities.
 
@@ -224,11 +188,9 @@ def step_kernel_row(state: State, model: ThrowModel) -> dict[State, Scalar]:
     if 0 not in state:
         return {tuple(b - 1 for b in state): Fraction(1)}
     x_star = tuple(b - 1 for b in state[1:])
-    pmf = throw_pmf(x_star, model)
-    return {
-        tuple(sorted(x_star + (h,))): p
-        for h, p in pmf.probs.items()
-    }
+    vacancies = [h for h in range(model.m) if h not in x_star]
+    pmf = truncated_geometric_pmf(model.ell, model.q)
+    return {tuple(sorted(x_star + (h,))): p for h, p in zip(vacancies, pmf)}
 
 
 def _vacancies_above(state: State, m: int) -> list[int]:

@@ -32,7 +32,6 @@ __all__ = [
     "RngStream",
     "Trajectory",
     "CoupledRun",
-    "sample_throw",
     "simulate",
     "empirical_distribution",
     "coupled_throw_pair",
@@ -120,15 +119,6 @@ def _rank_sampler(rng: RngStream, model: ThrowModel) -> Callable[[], int]:
         return lambda: rng.geometric(q)
     ell = model.ell
     return lambda: rng.truncated_geometric(ell, q)
-
-
-def sample_throw(rng: RngStream, after_shift: State, model: ThrowModel) -> int:
-    """Draw a landing height for the rethrown particle, avoiding the heights
-    occupied by ``after_shift``."""
-    if isinstance(model, BoundedGeometric) and after_shift:
-        if max(after_shift) > model.m - 2:
-            raise ValueError(f"after-shift state {after_shift} collides with forbidden heights")
-    return theta(after_shift, _rank_sampler(rng, model)())
 
 
 def _step(state: State, rank: int | None) -> State:

@@ -110,20 +110,15 @@ def build_extended_matrix(
     return TransitionMatrix(configs, [extended_kernel_row(m, c, q) for c in configs])
 
 
-def solve_stationary(
-    tm: TransitionMatrix, tol: float = 1e-14, max_iter: int = 10**6
-) -> dict:
-    """The unique stationary distribution of an ergodic kernel.
-
-    Exact state-reduction elimination when every entry is rational (no
-    pivoting needed: all intermediate quantities stay nonnegative), power
-    iteration from the uniform vector when entries are floats.
-    """
+def solve_stationary(tm: TransitionMatrix) -> dict:
+    """The unique stationary distribution of an ergodic kernel with rational
+    entries, by exact state-reduction elimination (no pivoting needed: all
+    intermediate quantities stay nonnegative). A float kernel is rejected."""
     if len(tm) == 0:
         raise ValueError("empty state space")
-    if tm.is_exact():
-        return _solve_exact(tm)
-    return _solve_power(tm, tol, max_iter)
+    if not tm.is_exact():
+        raise ValueError("solve_stationary needs an exact kernel; build it with a rational q")
+    return _solve_exact(tm)
 
 
 def _solve_exact(tm: TransitionMatrix) -> dict:
@@ -155,26 +150,6 @@ def _solve_exact(tm: TransitionMatrix) -> dict:
         pi[k] = sum(pi[i] * a[i][k] for i in range(k) if a[i][k])
     total = sum(pi)
     return {state: pi[i] / total for i, state in enumerate(tm.states)}
-
-
-def _solve_power(tm: TransitionMatrix, tol: float, max_iter: int) -> dict:
-    n = len(tm)
-    sparse = [
-        [(tm.pos[succ], float(p)) for succ, p in row.items()] for row in tm.rows
-    ]
-    pi = [1.0 / n] * n
-    for _ in range(max_iter):
-        new = [0.0] * n
-        for i, mass in enumerate(pi):
-            if mass:
-                for j, p in sparse[i]:
-                    new[j] += mass * p
-        residual = sum(abs(x - y) for x, y in zip(new, pi))
-        pi = new
-        if residual < tol:
-            total = sum(pi)
-            return {state: pi[i] / total for i, state in enumerate(tm.states)}
-    raise RuntimeError(f"power iteration did not reach {tol} in {max_iter} steps")
 
 
 def total_variation(mu: dict, nu: dict, mu_tail: Scalar = 0, nu_tail: Scalar = 0) -> Scalar:

@@ -13,6 +13,7 @@ drift, and the removed rook re-enters column 0 at a random row.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 
 from .qcomb import Scalar, gould_stirling
@@ -29,11 +30,12 @@ __all__ = [
     "validate_config",
     "enumerate_configs",
     "circ",
+    "circ_histogram",
     "extensions",
     "row_projection",
     "extended_kernel_row",
     "extended_weight",
-    "extended_prob",
+    "extended_distribution",
     "extended_ground",
     "path_to_ground",
 ]
@@ -92,6 +94,13 @@ def circ(m: int, rooks: RookConfig) -> int:
                 continue
             count += 1
     return count
+
+
+def circ_histogram(m: int, n: int) -> dict[int, int]:
+    """How many placements of n rooks on the board of height m have each
+    circ value, in increasing circ order. Its generating sum in q is the
+    Gould triangle value G[m+1, m-n+1]."""
+    return dict(sorted(Counter(circ(m, c) for c in enumerate_configs(m, n)).items()))
 
 
 def extensions(heights: State, m: int) -> list[RookConfig]:
@@ -156,11 +165,12 @@ def extended_weight(m: int, rooks: RookConfig, q: Scalar) -> Scalar:
     return q ** (-circ(m, rooks))
 
 
-def extended_prob(m: int, rooks: RookConfig, q: Scalar) -> Scalar:
-    """Extended stationary probability: q^(-circ) normalized by the Gould
-    triangle value G[m+1, m-n+1] at base 1/q."""
-    n = len(rooks)
-    return extended_weight(m, rooks, q) / gould_stirling(m + 1, m - n + 1, 1 / q)
+def extended_distribution(m: int, n: int, q: Scalar) -> dict[RookConfig, Scalar]:
+    """The extended stationary law over `enumerate_configs(m, n)`: each
+    weight q^(-circ) divided by one Gould triangle value G[m+1, m-n+1] at
+    base 1/q."""
+    z = gould_stirling(m + 1, m - n + 1, 1 / q)
+    return {c: extended_weight(m, c, q) / z for c in enumerate_configs(m, n)}
 
 
 def extended_ground(n: int) -> RookConfig:

@@ -21,7 +21,6 @@ from .qcomb import (
 )
 from .jep import (
     BoundedGeometric,
-    BoundedUniform,
     balance_residual,
     closed_form_stats,
     enumerate_states,
@@ -39,9 +38,10 @@ from .oracle import (
 )
 from .rook import (
     circ,
+    circ_histogram,
     enumerate_configs,
+    extended_distribution,
     extended_ground,
-    extended_weight,
     extensions,
     path_to_ground,
     row_projection,
@@ -104,15 +104,16 @@ def _check_scalar_identities(max_m: int, qs) -> CheckResult:
 
 def _check_closed_form_vs_solver(max_m: int, qs) -> CheckResult:
     name = "stationary-vs-solver"
-    for m in range(2, max_m + 1):
+    for m in range(1, max_m + 1):
         for n in range(1, m + 1):
-            for q in qs:
+            # q = 1, uniform throws, is solved on top of the sampled qs
+            for q in (*qs, Fraction(1)):
                 model = BoundedGeometric(m, n, q)
                 solved = solve_stationary(build_transition_matrix(model))
                 closed = stationary_distribution(model)
                 if solved != closed:
                     return CheckResult(name, False, f"mismatch at (m={m}, n={n}, q={q})")
-    return CheckResult(name, True, f"closed form equals exact solve through m={max_m}")
+    return CheckResult(name, True, f"closed form equals exact solve through m={max_m}, q=1 included")
 
 
 def _check_normalization(max_m: int, qs) -> CheckResult:
@@ -139,13 +140,9 @@ def _check_circ_gould(max_m: int, qs) -> CheckResult:
     name = "circ-statistic"
     for m in range(0, max_m + 1):
         for n in range(m + 1):
-            configs = enumerate_configs(m, n)
-            if len(configs) != _classical_stirling(m + 1, m + 1 - n):
+            histogram = circ_histogram(m, n)
+            if sum(histogram.values()) != _classical_stirling(m + 1, m + 1 - n):
                 return CheckResult(name, False, f"config count at (m={m}, n={n})")
-            histogram: dict[int, int] = {}
-            for config in configs:
-                value = circ(m, config)
-                histogram[value] = histogram.get(value, 0) + 1
             for q in qs:
                 total = sum(count * q**value for value, count in histogram.items())
                 if total != gould_stirling(m + 1, m - n + 1, q):
@@ -186,14 +183,12 @@ def _check_extended_chain(max_m: int, qs) -> CheckResult:
     top = min(max_m, 6)
     for m in range(1, top + 1):
         for n in range(0, m + 1):
-            configs = enumerate_configs(m, n)
-            for config in configs:
+            for config in enumerate_configs(m, n):
                 if path_to_ground(m, config)[-1] != extended_ground(n):
                     return CheckResult(name, False, f"ground unreachable from {config}")
             for q in qs:
                 tm = build_extended_matrix(m, n, q)
-                z = gould_stirling(m + 1, m - n + 1, 1 / q)
-                mu = {c: extended_weight(m, c, q) / z for c in configs}
+                mu = extended_distribution(m, n, q)
                 if sum(mu.values()) != 1:
                     return CheckResult(name, False, f"extended law not normalized at ({m},{n},{q})")
                 if tm.push(mu) != mu:
@@ -207,29 +202,6 @@ def _check_extended_chain(max_m: int, qs) -> CheckResult:
                     if marginal != closed:
                         return CheckResult(name, False, f"row projection off at ({m},{n},{q})")
     return CheckResult(name, True, f"extended law is stationary and projects correctly through m={top}")
-
-
-def _check_uniform(max_m: int, qs) -> CheckResult:
-    name = "uniform-model"
-    for m in range(1, max_m + 1):
-        for n in range(1, m + 1):
-            model = BoundedUniform(m, n)
-            solved = solve_stationary(build_transition_matrix(model))
-            closed = stationary_distribution(model)
-            if solved != closed:
-                return CheckResult(name, False, f"uniform solve mismatch at (m={m}, n={n})")
-            one = Fraction(1)
-            states = enumerate_states(m, n)
-            geo_at_one = {}
-            for s in states:
-                w = Fraction(1)
-                for k, x in enumerate(s, start=1):
-                    w *= q_int(m - n - x + k, one) * one**x
-                geo_at_one[s] = w
-            total = sum(geo_at_one.values())
-            if {s: w / total for s, w in geo_at_one.items()} != closed:
-                return CheckResult(name, False, f"q=1 limit mismatch at (m={m}, n={n})")
-    return CheckResult(name, True, f"uniform law matches the solver and the q=1 limit through m={max_m}")
 
 
 def _check_throw_fraction(max_m: int, qs) -> CheckResult:
@@ -298,7 +270,6 @@ _CHECKS = (
     _check_circ_gould,
     _check_extensions,
     _check_extended_chain,
-    _check_uniform,
     _check_throw_fraction,
     _check_balance,
     _check_tv_bounds,

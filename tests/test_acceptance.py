@@ -1,119 +1,83 @@
 """Acceptance suite: one test per criterion, exact where the contract is
 exact, with the stated statistical tolerances where it is not. Run with
 ``pytest -v tests/test_acceptance.py`` to get one line per criterion.
+
+Criteria that a `verify` check covers on the same grid assert on one
+``run_checks(max_m=8)`` result, by check name, next to their anchor
+values; `tests/test_verify.py` shows that each of those checks can fail.
 """
 
 import time
 from fractions import Fraction as F
 from itertools import combinations
 
+import pytest
+
 from jepq.jep import (
     BoundedGeometric,
-    BoundedUniform,
-    UnboundedGeometric,
-    balance_residual,
     closed_form_stats,
-    enumerate_states,
     stationary_distribution,
     stationary_prob,
-    stationary_weight,
 )
 from jepq.mc import coupled_simulate, empirical_distribution, simulate
 from jepq.oracle import (
-    build_extended_matrix,
-    build_transition_matrix,
     limit_rows_fixed_n,
     limit_rows_growing_n,
-    solve_stationary,
     total_variation,
     tv_to_unbounded,
 )
-from jepq.qcomb import (
-    binom2,
-    euler_phi,
-    gould_stirling,
-    partition_z,
-    q_int,
-    q_pochhammer,
-)
-from jepq.rook import circ, enumerate_configs, extended_prob, extensions, row_projection
+from jepq.qcomb import euler_phi, partition_z, q_int
+from jepq.rook import enumerate_configs
+from jepq.verify import run_checks
 
 GRID_QS = (F(1, 3), F(1, 2), F(2, 3))
-
-
-def classical_stirling(a, b):
-    if b < 0 or b > a:
-        return 0
-    row = [1]
-    for r in range(a):
-        row = [
-            (row[j - 1] if j >= 1 else 0) + (j * row[j] if j <= r else 0)
-            for j in range(r + 2)
-        ]
-    return row[b]
 
 
 def report(number, text):
     print(f"[PASS] criterion {number}: {text}")
 
 
-def test_criterion_01_closed_form_equals_exact_solve():
+@pytest.fixture(scope="module")
+def checks():
+    """The `verify` suites over m <= 8 at q in GRID_QS, by check name, plus
+    their wall time."""
     start = time.time()
-    cases = 0
-    for m in range(2, 9):
-        for n in range(1, m + 1):
-            for q in GRID_QS:
-                model = BoundedGeometric(m, n, q)
-                solved = solve_stationary(build_transition_matrix(model))
-                assert solved == stationary_distribution(model), (m, n, q)
-                cases += 1
+    results = run_checks(max_m=8, qs=GRID_QS)
     elapsed = time.time() - start
+    return {r.name: r for r in results}, elapsed
+
+
+def passed(checks, name):
+    result = checks[0][name]
+    assert result.passed, result.detail
+    return result.detail
+
+
+def test_criterion_01_closed_form_equals_exact_solve(checks):
+    # m <= 8, every n, q in GRID_QS and q = 1
+    detail = passed(checks, "stationary-vs-solver")
+    elapsed = checks[1]
     assert elapsed < 60
-    report(1, f"{cases} stationary laws equal the exact solve ({elapsed:.1f}s)")
+    report(1, f"{detail} (all checks {elapsed:.1f}s)")
 
 
-def test_criterion_02_weight_sums_equal_normalizer():
+def test_criterion_02_weight_sums_equal_normalizer(checks):
     for q in GRID_QS:
         assert partition_z(2, 1, q) == 1 + 2 * q
         assert partition_z(3, 2, q) == q + 3 * q**2 + 3 * q**3
-        for m in range(2, 9):
-            for n in range(1, m + 1):
-                model = BoundedGeometric(m, n, q)
-                total = sum(
-                    stationary_weight(s, model) for s in enumerate_states(m, n)
-                )
-                assert total == partition_z(m, n, q), (m, n, q)
-    report(2, "weight sums equal the closed-form normalizer on the full grid")
+    # weight sums against Z for m <= 8, every n, q in GRID_QS
+    report(2, passed(checks, "normalization"))
 
 
-def test_criterion_03_circ_sums_match_gould_triangle():
+def test_criterion_03_circ_sums_match_gould_triangle(checks):
     assert len(enumerate_configs(6, 3)) == 350
-    for m in range(0, 9):
-        for n in range(m + 1):
-            configs = enumerate_configs(m, n)
-            assert len(configs) == classical_stirling(m + 1, m + 1 - n)
-            histogram: dict[int, int] = {}
-            for config in configs:
-                v = circ(m, config)
-                histogram[v] = histogram.get(v, 0) + 1
-            for q in GRID_QS:
-                total = sum(count * q**v for v, count in histogram.items())
-                assert total == gould_stirling(m + 1, m - n + 1, q), (m, n, q)
-    report(3, "circ generating sums equal the Gould triangle through m=8")
+    # placement counts and circ sums against Gould for m <= 8, every n
+    report(3, passed(checks, "circ-statistic"))
 
 
-def test_criterion_04_extension_sums_and_index_products():
-    for m in range(1, 9):
-        for n in range(m + 1):
-            for heights in combinations(range(m), n):
-                exts = extensions(heights, m)
-                for q in GRID_QS:
-                    total = sum(q ** -circ(m, c) for c in exts)
-                    product = F(1)
-                    for k, x in enumerate(heights, start=1):
-                        vacant = sum(1 for h in range(x, m) if h not in heights)
-                        product *= q_int(1 + vacant, 1 / q)
-                    assert total == product, (heights, m, q)
+def test_criterion_04_extension_sums_and_index_products(checks):
+    # extension sums against the vacancy products for m <= 8
+    passed(checks, "extension-sums")
     # the vacancy product rewrites as an index product through m = 10
     for m in range(1, 11):
         for n in range(m + 1):
@@ -129,43 +93,17 @@ def test_criterion_04_extension_sums_and_index_products():
     report(4, "extension sums match the vacancy products (m<=8), index form exact to m=10")
 
 
-def test_criterion_05_extended_chain_stationary_and_projects():
-    for m in range(1, 7):
-        for n in range(m + 1):
-            for q in GRID_QS:
-                tm = build_extended_matrix(m, n, q)
-                mu = {c: extended_prob(m, c, q) for c in tm.states}
-                assert sum(mu.values()) == 1
-                assert tm.push(mu) == mu, (m, n, q)
-                if n:
-                    marginal: dict = {}
-                    for config, p in mu.items():
-                        key = row_projection(config)
-                        marginal[key] = marginal.get(key, 0) + p
-                    assert marginal == stationary_distribution(
-                        BoundedGeometric(m, n, q)
-                    ), (m, n, q)
-    report(5, "normalized circ weights are stationary and project to the base law (m<=6)")
+def test_criterion_05_extended_chain_stationary_and_projects(checks):
+    # normalized, stationary and projecting to the base law for m <= 6
+    report(5, passed(checks, "extended-chain"))
 
 
-def test_criterion_06_balance_residuals_vanish():
-    for q in GRID_QS:
-        for m in range(2, 9):
-            for n in range(1, m + 1):
-                model = BoundedGeometric(m, n, q)
-                law = stationary_distribution(model)
-                pi = lambda s: law.get(s, F(0))
-                for state in law:
-                    assert balance_residual(state, pi, model) == 0, (state, m, n, q)
-        for n in (1, 2, 3):
-            model = UnboundedGeometric(n, q)
-            pi = lambda s: stationary_prob(s, model)
-            for state in combinations(range(11), n):
-                assert balance_residual(state, pi, model) == 0, (state, n, q)
-    report(6, "balance residuals vanish: bounded m<=8 and unbounded heights<=10")
+def test_criterion_06_balance_residuals_vanish(checks):
+    # bounded m <= 8, every n; unbounded n <= 3 at heights <= 10
+    report(6, passed(checks, "balance-residuals"))
 
 
-def test_criterion_07_closed_form_statistics():
+def test_criterion_07_closed_form_statistics(checks):
     for q in GRID_QS:
         for m in range(1, 9):
             for n in range(1, m + 1):
@@ -175,12 +113,8 @@ def test_criterion_07_closed_form_statistics():
                 top = tuple(range(m - n, m))
                 assert stats.ground == stationary_prob(ground, model)
                 assert stats.top == stationary_prob(top, model)
-                occupied = sum(
-                    p
-                    for s, p in stationary_distribution(model).items()
-                    if s[0] == 0
-                )
-                assert stats.throw_fraction == occupied, (m, n, q)
+    # the throw fraction against direct summation for m <= 8, every n
+    passed(checks, "throw-fraction")
     literal = closed_form_stats(3, 2, F(1, 2)).throw_fraction_uncorrected
     assert literal == F(24, 13) > 1
     report(7, f"ground/top/throw-fraction forms exact; uncorrected form hits {literal} > 1 at (3,2,1/2)")
@@ -252,20 +186,8 @@ def test_criterion_10_monte_carlo():
     report(10, f"seeded simulation matches the exact law (tv={tv:.4f}) in {elapsed:.0f}s")
 
 
-def test_criterion_11_uniform_model():
-    one = F(1)
-    for m in range(1, 9):
-        for n in range(1, m + 1):
-            model = BoundedUniform(m, n)
-            closed = stationary_distribution(model)
-            assert solve_stationary(build_transition_matrix(model)) == closed
-            # the geometric closed form evaluated at q = 1 gives the same law
-            at_one = {}
-            for s in enumerate_states(m, n):
-                w = F(1)
-                for k, x in enumerate(s, start=1):
-                    w *= q_int(m - n - x + k, one) * one**x
-                at_one[s] = w
-            total = sum(at_one.values())
-            assert {s: w / total for s, w in at_one.items()} == closed
-    report(11, "uniform law equals both the exact solve and the q=1 closed form")
+def test_criterion_11_uniform_model(checks):
+    # the uniform law is the bounded law at q = 1, solved for m <= 8
+    detail = passed(checks, "stationary-vs-solver")
+    assert "q=1" in detail
+    report(11, "uniform law equals the exact solve at q = 1")

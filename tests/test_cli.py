@@ -78,7 +78,7 @@ def test_stationary_uniform_model():
 def test_verify_passes_and_is_deterministic():
     code, out = run_cli(["verify", "--max-m", "3"])
     assert code == 0
-    assert out.count("PASS") == 10
+    assert out.count("PASS") == 9
     assert "FAIL" not in out
     code2, out2 = run_cli(["verify", "--max-m", "3"])
     assert out2 == out
@@ -325,6 +325,8 @@ def test_verify_option_spellings():
         # Z underflows to 0
         ["simulate", "--m", "6", "--n", "5", "--q", "1e-200", "--steps", "100",
          "--burn-in", "0"],
+        # an exact weight too long for Python to print in decimal
+        ["stationary", "--m", "6", "--n", "5", "--q", "1e-320"],
     ],
 )
 def test_bad_input_is_one_error_line(argv, capsys):
@@ -333,6 +335,13 @@ def test_bad_input_is_one_error_line(argv, capsys):
     assert out == ""
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith("jepq")
+    assert "set_int_max_str_digits" not in err
+
+
+def test_exact_value_too_long_names_q(capsys):
+    assert exit_code(["stationary", "--m", "6", "--n", "5", "--q", "1e-320"]) == 2
+    err = capsys.readouterr().err
+    assert "4800 digits" in err and "--q" in err
 
 
 def test_unwritable_out_is_one_error_line(tmp_path, capsys):

@@ -16,7 +16,6 @@ from jepq.jep import (
     step_kernel_row,
     theta,
     theta_rank,
-    throw_pmf,
     throw_prob,
     truncated_geometric_pmf,
     validate_state,
@@ -62,37 +61,43 @@ def test_truncated_geometric_pmf():
 
 
 def test_throw_pmf_bounded():
+    # the throw law from after-shift state (1,) sits on the vacancies 0 and 2
     q = F(1, 2)
-    pmf = throw_pmf((1,), BoundedGeometric(3, 2, q))
-    assert pmf.probs == {0: 1 / (1 + q), 2: q / (1 + q)}
-    assert pmf.tail == 0
-    uni = throw_pmf((1,), BoundedUniform(3, 2))
-    assert uni.probs == {0: F(1, 2), 2: F(1, 2)}
+    model = BoundedGeometric(3, 2, q)
+    assert step_kernel_row((0, 2), model) == {(0, 1): 1 / (1 + q), (1, 2): q / (1 + q)}
+    assert [throw_prob((1,), h, model) for h in (0, 2)] == [1 / (1 + q), q / (1 + q)]
+    assert step_kernel_row((0, 2), BoundedUniform(3, 2)) == {(0, 1): F(1, 2), (1, 2): F(1, 2)}
+    with pytest.raises(ValueError):
+        throw_prob((1,), 1, model)  # an occupied height
 
 
 def test_throw_pmf_unbounded_tail_is_exact():
     q = F(1, 2)
-    pmf = throw_pmf((), UnboundedGeometric(1, q), ceiling=5)
-    assert pmf.probs == {x: (1 - q) * q**x for x in range(6)}
-    assert pmf.tail == q**6
-    assert sum(pmf.probs.values()) + pmf.tail == 1
-    withhole = throw_pmf((2,), UnboundedGeometric(2, q), ceiling=4)
-    assert 2 not in withhole.probs
-    assert sum(withhole.probs.values()) + withhole.tail == 1
+    model = UnboundedGeometric(1, q)
+    probs = {x: throw_prob((), x, model) for x in range(6)}
+    assert probs == {x: (1 - q) * q**x for x in range(6)}
+    assert sum(probs.values()) + q**6 == 1
+    holed = UnboundedGeometric(2, q)
+    probs = {h: throw_prob((2,), h, holed) for h in (0, 1, 3, 4)}
+    assert sum(probs.values()) + q**4 == 1
     with pytest.raises(ValueError):
-        throw_pmf((), UnboundedGeometric(1, q))
+        throw_prob((2,), 2, holed)
+    # the unbounded law has no finite kernel row
+    with pytest.raises(ValueError):
+        step_kernel_row((0,), model)
 
 
 def test_throw_prob_matches_pmf():
     q = F(1, 3)
     model = BoundedGeometric(5, 3, q)
-    pmf = throw_pmf((0, 2), model)
-    for height, p in pmf.probs.items():
+    row = step_kernel_row((0, 1, 3), model)  # after the shift: (0, 2)
+    assert len(row) == 3
+    for state, p in row.items():
+        (height,) = set(state) - {0, 2}
         assert throw_prob((0, 2), height, model) == p
     unb = UnboundedGeometric(3, q)
-    upmf = throw_pmf((0, 2), unb, ceiling=8)
-    for height, p in upmf.probs.items():
-        assert throw_prob((0, 2), height, unb) == p
+    for rank, height in enumerate((1, 3, 4, 5, 6, 7, 8)):
+        assert throw_prob((0, 2), height, unb) == (1 - q) * q**rank
 
 
 def test_step_kernel_examples():

@@ -18,7 +18,6 @@ from jepq.mc import (
     coupled_simulate,
     coupled_throw_pair,
     empirical_distribution,
-    sample_throw,
     simulate,
 )
 from jepq.oracle import total_variation
@@ -85,26 +84,6 @@ def test_uniform_sampler_fits_pmf():
     assert chi2_stat(counts, probs, total) < CHI2_999[5]
 
 
-def test_sample_throw_pmf_and_determinism():
-    model = BoundedGeometric(2, 1, F(1, 2))
-    rng = RngStream(31)
-    total = 1_000_000
-    counts = {0: 0, 1: 0}
-    for _ in range(total):
-        counts[sample_throw(rng, (), model)] += 1
-    assert abs(counts[0] / total - 2 / 3) < 0.005
-    assert abs(counts[1] / total - 1 / 3) < 0.005
-    # ell = 1 leaves a single vacancy
-    tight = BoundedGeometric(3, 3, F(1, 2))
-    rng = RngStream(32)
-    assert all(sample_throw(rng, (0, 1), tight) == 2 for _ in range(50))
-    # identical streams give identical draws
-    r1, r2 = RngStream(5, 1), RngStream(5, 1)
-    seq1 = [sample_throw(r1, (1,), BoundedGeometric(4, 2, F(1, 3))) for _ in range(200)]
-    seq2 = [sample_throw(r2, (1,), BoundedGeometric(4, 2, F(1, 3))) for _ in range(200)]
-    assert seq1 == seq2
-
-
 def test_simulate_deterministic_fall():
     model = BoundedGeometric(5, 2, F(1, 2))
     traj = simulate(model, (1, 3), 1, seed=0)
@@ -112,6 +91,13 @@ def test_simulate_deterministic_fall():
     assert traj.throw_count == 0
     again = simulate(model, (1, 3), 1, seed=0)
     assert again.states == traj.states
+
+
+def test_full_system_rethrows_to_the_single_vacancy():
+    # n = m leaves ell = 1: every throw lands on the one vacancy, at the top
+    traj = simulate(BoundedGeometric(3, 3, F(1, 2)), (0, 1, 2), 50, seed=32)
+    assert set(traj.states) == {(0, 1, 2)}
+    assert traj.throw_count == 50
 
 
 def test_simulate_transitions_are_legal():

@@ -73,11 +73,14 @@ def test_solve_residual_is_zero():
     assert sum(pi.values()) == 1
 
 
-def test_solve_power_iteration_close_to_exact():
-    exact = stationary_distribution(BoundedGeometric(6, 3, F(1, 2)))
-    approx = solve_stationary(build_transition_matrix(BoundedGeometric(6, 3, 0.5)))
-    assert abs(sum(approx.values()) - 1) < 1e-12
-    assert max(abs(approx[s] - float(exact[s])) for s in approx) < 1e-12
+def test_solve_rejects_float_kernel():
+    float_kernel = build_transition_matrix(BoundedGeometric(6, 3, 0.5))
+    assert not float_kernel.is_exact()
+    with pytest.raises(ValueError, match="exact kernel"):
+        solve_stationary(float_kernel)
+    # the same chain at the exact q solves to the closed form
+    model = BoundedGeometric(6, 3, F(1, 2))
+    assert solve_stationary(build_transition_matrix(model)) == stationary_distribution(model)
 
 
 def test_total_variation_basics():
@@ -173,21 +176,21 @@ def test_limit_rows_growing_n():
 
 
 def test_extended_solver_matches_weights_small():
-    from jepq.rook import extended_prob
+    from jepq.rook import extended_distribution
 
     for q in QS:
         for m in range(1, 6):
             for n in range(m + 1):
                 tm = build_extended_matrix(m, n, q)
                 pi = solve_stationary(tm)
-                assert pi == {c: extended_prob(m, c, q) for c in tm.states}
+                assert pi == extended_distribution(m, n, q)
 
 
 def test_extended_solver_matches_weights_m6():
-    from jepq.rook import extended_prob
+    from jepq.rook import extended_distribution
 
     q = F(1, 2)
     for n in range(7):
         tm = build_extended_matrix(6, n, q)
         pi = solve_stationary(tm)
-        assert pi == {c: extended_prob(6, c, q) for c in tm.states}
+        assert pi == extended_distribution(6, n, q)

@@ -7,10 +7,11 @@ from jepq.qcomb import gould_stirling, q_int
 from jepq.rook import (
     board_cells,
     circ,
+    circ_histogram,
     enumerate_configs,
+    extended_distribution,
     extended_ground,
     extended_kernel_row,
-    extended_prob,
     extended_weight,
     extensions,
     is_board_cell,
@@ -91,6 +92,19 @@ def test_circ_sum_is_gould(q):
             assert total == gould_stirling(m + 1, m - n + 1, q)
 
 
+def test_circ_histogram():
+    assert circ_histogram(2, 1) == {0: 2, 1: 1}
+    assert circ_histogram(0, 0) == {0: 1}
+    for m in range(7):
+        for n in range(m + 1):
+            histogram = circ_histogram(m, n)
+            assert list(histogram) == sorted(histogram)
+            counted: dict = {}
+            for c in enumerate_configs(m, n):
+                counted[circ(m, c)] = counted.get(circ(m, c), 0) + 1
+            assert histogram == counted
+
+
 def test_extensions_examples():
     assert extensions((0,), 2) == [((0, 0),), ((0, 1),)]
     for m in range(1, 8):
@@ -155,7 +169,8 @@ def test_extended_weight_anchor():
     weights = {c: extended_weight(2, c, q) for c in enumerate_configs(2, 1)}
     assert sorted(weights.values()) == [1, 1, 2]
     assert gould_stirling(3, 2, 1 / q) == 4
-    probs = {c: extended_prob(2, c, q) for c in weights}
+    probs = extended_distribution(2, 1, q)
+    assert probs.keys() == weights.keys()
     assert sum(probs.values()) == 1
     assert probs[((0, 0),)] == F(1, 2)
 
@@ -167,7 +182,8 @@ def test_extended_stationarity_and_projection(q):
     for m in range(1, 7):
         for n in range(m + 1):
             tm = build_extended_matrix(m, n, q)
-            mu = {c: extended_prob(m, c, q) for c in tm.states}
+            mu = extended_distribution(m, n, q)
+            assert list(mu) == tm.states
             assert sum(mu.values()) == 1
             assert tm.push(mu) == mu
             if q == 1:

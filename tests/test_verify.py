@@ -1,0 +1,67 @@
+"""Failure injection: each `verify` check must be able to fail.
+
+Every case shifts one closed form that a single check compares, by a
+small amount, and asserts that this check alone fails, that `jepq verify`
+exits 1, and that every FAIL line names the check.
+"""
+
+import dataclasses
+from fractions import Fraction as F
+
+import pytest
+
+from jepq import verify
+from jepq.cli import main
+
+EPS = F(1, 10**9)
+
+
+def _bump_first(law):
+    first = next(iter(law))
+    return {**law, first: law[first] + EPS}
+
+
+def _raise_top_circ(histogram):
+    top = max(histogram)
+    return {(v + 1 if v == top else v): count for v, count in histogram.items()}
+
+
+# check name -> (name in jepq.verify, perturbation of its result given its arguments)
+INJECTIONS = {
+    "scalar-identities": ("euler_phi", lambda phi, q, eps: phi + 1e-3),
+    "stationary-vs-solver": (
+        "stationary_distribution",
+        lambda law, model: _bump_first(law) if model.q == 1 else law,
+    ),
+    "normalization": ("partition_z", lambda z, m, n, q: z + EPS),
+    "circ-statistic": ("circ_histogram", lambda histogram, m, n: _raise_top_circ(histogram)),
+    "extension-sums": ("circ", lambda value, m, rooks: value + 1),
+    "extended-chain": ("extended_distribution", lambda law, m, n, q: _bump_first(law)),
+    "throw-fraction": (
+        "closed_form_stats",
+        lambda stats, m, n, q: dataclasses.replace(
+            stats, throw_fraction=stats.throw_fraction + EPS
+        ),
+    ),
+    "balance-residuals": ("stationary_prob", lambda p, state, model: p + EPS),
+    "tv-bounds": ("total_variation", lambda tv, mu, nu: tv + EPS),
+}
+
+
+def test_injections_cover_every_check():
+    assert sorted(INJECTIONS) == sorted(r.name for r in verify.run_checks(max_m=3))
+
+
+@pytest.mark.parametrize("check", INJECTIONS)
+def test_each_check_can_fail(check, monkeypatch, capsys):
+    attr, perturb = INJECTIONS[check]
+    original = getattr(verify, attr)
+    monkeypatch.setattr(
+        verify, attr, lambda *args, **kwargs: perturb(original(*args, **kwargs), *args)
+    )
+    results = verify.run_checks(max_m=3)
+    assert [r.name for r in results if not r.passed] == [check]
+    assert main(["verify", "--max-m", "3"]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert fails
+    assert all(line.startswith(f"FAIL {check}: ") for line in fails)

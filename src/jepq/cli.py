@@ -7,7 +7,8 @@ emitted both as an exact "p/r" string and as a float, so reports can be
 re-parsed without losing exactness. The environment variable
 JEPQ_STATE_CAP overrides the default cap on enumerated state-space sizes.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parameter error.
+Exit codes: 0 success, 1 verification failure, 2 usage or parameter error,
+3 internal error.
 """
 
 from __future__ import annotations
@@ -375,6 +376,9 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"jepq: error: {err}", file=sys.stderr)
         return 2
+    except Exception as err:  # a defect, kept apart from the codes above
+        print(f"jepq: internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

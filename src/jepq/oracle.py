@@ -112,8 +112,8 @@ def build_extended_matrix(
 
 def solve_stationary(tm: TransitionMatrix) -> dict:
     """The unique stationary distribution of an ergodic kernel with rational
-    entries, by exact state-reduction elimination (no pivoting needed: all
-    intermediate quantities stay nonnegative). A float kernel is rejected."""
+    entries, by exact state-reduction elimination over integer rows (no
+    pivoting: every entry stays nonnegative). A float kernel is rejected."""
     if len(tm) == 0:
         raise ValueError("empty state space")
     if not tm.is_exact():
@@ -123,31 +123,41 @@ def solve_stationary(tm: TransitionMatrix) -> dict:
 
 def _solve_exact(tm: TransitionMatrix) -> dict:
     n = len(tm)
-    a = [[Fraction(0)] * n for _ in range(n)]
+    # a[i][j] = rows[i][j] / dens[i] in integers; holders[k]: rows i < k holding k
+    rows, dens = [], []
+    holders: list[set[int]] = [set() for _ in range(n)]
     for i, row in enumerate(tm.rows):
-        for succ, p in row.items():
-            a[i][tm.pos[succ]] += Fraction(p)
-    # Censor states from the top index down. Scaling column k by the exit
-    # mass of state k turns a[i][k] into the chance that i enters k per
-    # unit of time k eventually spends below k, which is exactly what the
-    # forward recursion needs; division is exact throughout.
+        entries = {tm.pos[succ]: Fraction(p) for succ, p in row.items() if p}
+        d = math.lcm(*(p.denominator for p in entries.values()))
+        rows.append({j: p.numerator * (d // p.denominator) for j, p in entries.items()})
+        dens.append(d)
+        for j in entries:
+            if j > i:
+                holders[j].add(i)
+    # Censor states from the top index down. a[i][k] over the exit mass of k,
+    # s / dens[k], is the chance that i enters k per unit of time k eventually
+    # spends below k, as the forward recursion needs; row i folds in s * row k.
+    into: list[list] = [[] for _ in range(n)]
     for k in range(n - 1, 0, -1):
-        row_k = a[k]
-        s = sum(row_k[j] for j in range(k))
+        row_k = rows[k]
+        row_k.pop(k, None)  # the self-loop of k never enters
+        s = sum(row_k.values())
         if s == 0:
             raise ValueError("kernel is not irreducible: no exit from a top block")
-        for i in range(k):
-            row_i = a[i]
-            f = row_i[k] / s
-            if f:
-                row_i[k] = f
-                for j in range(k):
-                    if row_k[j]:
-                        row_i[j] += f * row_k[j]
-    pi = [Fraction(0)] * n
-    pi[0] = Fraction(1)
+        for i in holders[k]:
+            entry = rows[i].pop(k)
+            into[k].append((i, Fraction(entry * dens[k], dens[i] * s)))
+            row_i = {j: s * v for j, v in rows[i].items()}
+            for j, v in row_k.items():
+                row_i[j] = row_i.get(j, 0) + entry * v
+                if j > i:
+                    holders[j].add(i)
+            g = math.gcd(dens[i] * s, *row_i.values())
+            rows[i] = {j: v // g for j, v in row_i.items()}
+            dens[i] = dens[i] * s // g
+    pi = [Fraction(1)] * n
     for k in range(1, n):
-        pi[k] = sum(pi[i] * a[i][k] for i in range(k) if a[i][k])
+        pi[k] = sum(pi[i] * f for i, f in into[k])
     total = sum(pi)
     return {state: pi[i] / total for i, state in enumerate(tm.states)}
 

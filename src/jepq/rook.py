@@ -14,6 +14,7 @@ drift, and the removed rook re-enters column 0 at a random row.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from itertools import combinations
 
 from .qcomb import Scalar, gould_stirling
@@ -69,9 +70,7 @@ def _canonical(cells) -> RookConfig:
 def enumerate_configs(m: int, n: int) -> list[RookConfig]:
     """All placements of n non-attacking rooks on the board of height m,
     sorted lexicographically by (row, column) cell lists."""
-    if not 0 <= n <= m:
-        raise ValueError(f"need 0 <= n <= m, got m={m} n={n}")
-    return sorted(c for rows in combinations(range(m), n) for c in extensions(rows, m))
+    return sorted(config for config, _ in _placements_with_circ(m, n))
 
 
 def circ(m: int, rooks: RookConfig) -> int:
@@ -79,20 +78,17 @@ def circ(m: int, rooks: RookConfig) -> int:
 
     Each rook disables every cell strictly to its left in its own row and
     every cell strictly below it in its own column; the statistic counts
-    the surviving non-rook cells in rows that contain a rook. (The related
-    inversion statistic that also circles cells in rook-free rows is a
-    different quantity and is intentionally not implemented.)
+    the surviving non-rook cells in rows that contain a rook: read from the
+    top row down, a rook at (r, c) adds the columns in (c, m-1-r] that no
+    higher rook holds. (The related inversion statistic that also circles
+    cells in rook-free rows is a different quantity, not implemented.)
     """
     validate_config(m, rooks)
-    col_of_row = {r: c for r, c in rooks}
-    row_of_col = {c: r for r, c in rooks}
+    taken: set[int] = set()
     count = 0
-    for r, rook_c in col_of_row.items():
-        for c in range(rook_c + 1, m - r):
-            blocker = row_of_col.get(c)
-            if blocker is not None and blocker > r:
-                continue
-            count += 1
+    for r, c in sorted(rooks, reverse=True):
+        count += sum(col not in taken for col in range(c + 1, m - r))
+        taken.add(c)
     return count
 
 
@@ -100,32 +96,43 @@ def circ_histogram(m: int, n: int) -> dict[int, int]:
     """How many placements of n rooks on the board of height m have each
     circ value, in increasing circ order. Its generating sum in q is the
     Gould triangle value G[m+1, m-n+1]."""
-    return dict(sorted(Counter(circ(m, c) for c in enumerate_configs(m, n)).items()))
+    return dict(sorted(Counter(value for _, value in _placements_with_circ(m, n)).items()))
 
 
 def extensions(heights: State, m: int) -> list[RookConfig]:
     """All placements whose rook rows equal ``heights``: every consistent
     assignment of elapsed flight times to the given remaining flight times."""
+    return sorted(config for config, _ in _extensions_with_circ(heights, m))
+
+
+def _placements_with_circ(m: int, n: int) -> Iterator[tuple[RookConfig, int]]:
+    """Every placement of n rooks on the board of height m, with its circ."""
+    if not 0 <= n <= m:
+        raise ValueError(f"need 0 <= n <= m, got m={m} n={n}")
+    for rows in combinations(range(m), n):
+        yield from _extensions_with_circ(rows, m)
+
+
+def _extensions_with_circ(heights: State, m: int) -> Iterator[tuple[RookConfig, int]]:
+    """Every placement whose rook rows equal ``heights``, with its circ,
+    summed by the rule of `circ` as the rows are filled from the top down."""
     if any(h < 0 or h > m - 1 for h in heights):
         raise ValueError(f"heights {heights} out of range for board height {m}")
     if len(set(heights)) != len(heights):
         raise ValueError(f"heights must be distinct, got {heights}")
-    configs: list[RookConfig] = []
     rows = sorted(heights, reverse=True)
 
-    def assign(i: int, used_cols: frozenset, acc: list[Cell]) -> None:
+    def assign(i: int, used: frozenset, acc: RookConfig, count: int):
         if i == len(rows):
-            configs.append(_canonical(acc))
+            yield acc, count
             return
         r = rows[i]
-        for c in range(m - r):
-            if c not in used_cols:
-                acc.append((r, c))
-                assign(i + 1, used_cols | {c}, acc)
-                acc.pop()
+        for c in range(m - 1 - r, -1, -1):
+            if c not in used:
+                yield from assign(i + 1, used | {c}, ((r, c),) + acc, count)
+                count += 1  # c is free and right of every later choice
 
-    assign(0, frozenset(), [])
-    return sorted(configs)
+    yield from assign(0, frozenset(), (), 0)
 
 
 def row_projection(rooks: RookConfig) -> State:

@@ -7,8 +7,11 @@ subcommand runs everything and reports one line per check.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .qcomb import (
     binom2,
@@ -37,12 +40,11 @@ from .oracle import (
     tv_to_unbounded,
 )
 from .rook import (
-    circ,
+    _extensions_with_circ,
     circ_histogram,
     enumerate_configs,
     extended_distribution,
     extended_ground,
-    extensions,
     path_to_ground,
     row_projection,
 )
@@ -153,26 +155,23 @@ def _check_circ_gould(max_m: int, qs) -> CheckResult:
 def _check_extensions(max_m: int, qs) -> CheckResult:
     name = "extension-sums"
     for m in range(1, max_m + 1):
+        tables = [(q, [q_int(k, 1 / q) for k in range(m + 1)]) for q in qs]
         for n in range(0, m + 1):
             for heights in enumerate_states(m, n):
-                exts = extensions(heights, m)
+                pairs = list(_extensions_with_circ(heights, m))
                 counts = [m - n - x + k for k, x in enumerate(heights, start=1)]
-                expected_count = 1
-                for c in counts:
-                    expected_count *= c
-                if len(exts) != expected_count:
+                if len(pairs) != math.prod(counts):
                     return CheckResult(name, False, f"extension count at B={heights}, m={m}")
-                if sorted(row_projection(c) for c in exts) != [heights] * len(exts):
+                if any(row_projection(c) != heights for c, _ in pairs):
                     return CheckResult(name, False, f"bad row projection at B={heights}")
-                circs = [circ(m, c) for c in exts]
-                for q in qs:
-                    total = sum(q ** -value for value in circs)
-                    product = Fraction(1)
-                    direct = Fraction(1)
-                    for k, x in enumerate(heights, start=1):
-                        product *= q_int(m - n - x + k, 1 / q)
-                        vacant = len([h for h in range(x, m) if h not in heights])
-                        direct *= q_int(1 + vacant, 1 / q)
+                # vacant heights above each particle: the gaps above it, summed
+                gaps = [above - x - 1 for x, above in zip(heights, heights[1:] + (m,))]
+                vacancies = list(accumulate(reversed(gaps)))
+                histogram = Counter(value for _, value in pairs)
+                for q, table in tables:
+                    total = sum(count * q**-value for value, count in histogram.items())
+                    product = math.prod(table[c] for c in counts)
+                    direct = math.prod(table[1 + v] for v in vacancies)
                     if total != product or product != direct:
                         return CheckResult(name, False, f"extension sum at B={heights}, q={q}")
     return CheckResult(name, True, f"extension sums match the vacancy products through m={max_m}")

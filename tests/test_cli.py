@@ -412,3 +412,16 @@ def test_hostile_input_never_tracebacks(line, tmp_path, capsys):
     # an exception escaping main is what a command-line user sees as a traceback
     assert exit_code(argv) in (0, 1, 2)
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    from jepq import cli
+
+    def broken(args):
+        raise RuntimeError("broken handler")
+
+    monkeypatch.setitem(cli._COMMANDS, "rook", (broken, cli._COMMANDS["rook"][1]))
+    assert exit_code(["rook", "--m", "3", "--n", "1", "--q", "1/2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "jepq: internal error: RuntimeError: broken handler\n"

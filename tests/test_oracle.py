@@ -12,6 +12,7 @@ from jepq.jep import (
 )
 from jepq.oracle import (
     ConvergenceRow,
+    TransitionMatrix,
     build_extended_matrix,
     build_transition_matrix,
     coupling_bound,
@@ -81,6 +82,35 @@ def test_solve_rejects_float_kernel():
     # the same chain at the exact q solves to the closed form
     model = BoundedGeometric(6, 3, F(1, 2))
     assert solve_stationary(build_transition_matrix(model)) == stationary_distribution(model)
+
+
+def test_solve_rejects_reducible_kernel():
+    # two absorbing states: every mixture of them is stationary
+    tm = TransitionMatrix(["a", "b"], [{"a": 1}, {"b": 1}])
+    with pytest.raises(ValueError, match="irreducible"):
+        solve_stationary(tm)
+
+
+def test_solve_hand_built_kernel():
+    # a non-reversible chain with self-loops; balance at states 1, 2, 3
+    # reads pi1 = 4/9 pi0, pi2 = 9/8 pi1 and pi3 = pi0/6 + pi2/3
+    rows = [
+        {0: F(1, 2), 1: F(1, 3), 3: F(1, 6)},
+        {1: F(1, 4), 2: F(3, 4)},
+        {0: F(1, 3), 2: F(1, 3), 3: F(1, 3)},
+        {0: F(1)},
+    ]
+    tm = TransitionMatrix([0, 1, 2, 3], rows)
+    pi = solve_stationary(tm)
+    assert pi == {0: F(18, 41), 1: F(8, 41), 2: F(9, 41), 3: F(6, 41)}
+    assert list(pi) == [0, 1, 2, 3]
+    assert all(type(p) is F for p in pi.values())
+    assert tm.push(pi) == pi
+
+
+def test_solve_accepts_mixed_int_and_fraction_rows():
+    tm = TransitionMatrix(["x", "y"], [{"x": 0, "y": 1}, {"x": F(1, 3), "y": F(2, 3)}])
+    assert solve_stationary(tm) == {"x": F(1, 4), "y": F(3, 4)}
 
 
 def test_total_variation_basics():

@@ -75,6 +75,32 @@ def test_enumerate_configs_are_distinct_placements():
                 assert len(config) == n
 
 
+def blocker_circ(m, rooks):
+    """The circle statistic by its definition: right of each rook in its
+    row, count the cells whose column holds no rook above this one."""
+    col_of_row = {r: c for r, c in rooks}
+    row_of_col = {c: r for r, c in rooks}
+    count = 0
+    for r, rook_c in col_of_row.items():
+        for c in range(rook_c + 1, m - r):
+            blocker = row_of_col.get(c)
+            if blocker is not None and blocker > r:
+                continue
+            count += 1
+    return count
+
+
+def test_circ_matches_blocker_definition():
+    from jepq.rook import _placements_with_circ
+
+    for m in range(8):
+        for n in range(m + 1):
+            pairs = list(_placements_with_circ(m, n))
+            assert sorted(config for config, _ in pairs) == enumerate_configs(m, n)
+            for config, value in pairs:
+                assert value == circ(m, config) == blocker_circ(m, config)
+
+
 def test_circ_examples():
     assert circ(2, ((1, 0),)) == 0
     assert circ(2, ((0, 0),)) == 1

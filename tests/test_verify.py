@@ -35,7 +35,10 @@ INJECTIONS = {
     ),
     "normalization": ("partition_z", lambda z, m, n, q: z + EPS),
     "circ-statistic": ("circ_histogram", lambda histogram, m, n: _raise_top_circ(histogram)),
-    "extension-sums": ("circ", lambda value, m, rooks: value + 1),
+    "extension-sums": (
+        "_extensions_with_circ",
+        lambda pairs, heights, m: ((config, value + 1) for config, value in pairs),
+    ),
     "extended-chain": ("extended_distribution", lambda law, m, n, q: _bump_first(law)),
     "throw-fraction": (
         "closed_form_stats",

@@ -361,6 +361,10 @@ def main(argv=None) -> int:
             parser.error(f"bounded {args.command} requires --m")
         if args.model != "bounded-uniform" and args.q is None:
             parser.error(f"geometric {args.command} requires --q")
+        if args.model == "unbounded-geometric" and args.m is not None:
+            parser.error(f"unbounded {args.command} takes no --m")
+        if args.model == "bounded-uniform" and args.q is not None:
+            parser.error(f"uniform {args.command} takes no --q")
 
     args.q_value = None
     if args.q is not None:

@@ -177,6 +177,17 @@ def throw_prob(x_star: State, height: int, model: ThrowModel) -> Scalar:
     return truncated_geometric_pmf(model.ell, model.q)[rank]
 
 
+def _step(state: State, rank: int | None) -> State:
+    """One transition: every ball falls one height, and on a throw step
+    (``rank`` not None) the ball that fell from height 0 lands on vacancy
+    ``rank`` of the shifted state."""
+    shifted = tuple([b - 1 for b in state])
+    if rank is None:
+        return shifted
+    x_star = shifted[1:]
+    return tuple(sorted(x_star + (theta(x_star, rank),)))
+
+
 def step_kernel_row(state: State, model: ThrowModel) -> dict[State, Scalar]:
     """One row of the transition kernel: successor states and probabilities.
 
@@ -186,11 +197,9 @@ def step_kernel_row(state: State, model: ThrowModel) -> dict[State, Scalar]:
         raise ValueError("kernel rows need a finite state space; use throw_prob")
     validate_state(state, model)
     if 0 not in state:
-        return {tuple(b - 1 for b in state): Fraction(1)}
-    x_star = tuple(b - 1 for b in state[1:])
-    vacancies = [h for h in range(model.m) if h not in x_star]
+        return {_step(state, None): Fraction(1)}
     pmf = truncated_geometric_pmf(model.ell, model.q)
-    return {tuple(sorted(x_star + (h,))): p for h, p in zip(vacancies, pmf)}
+    return {_step(state, rank): p for rank, p in enumerate(pmf)}
 
 
 def _vacancies_above(state: State, m: int) -> list[int]:

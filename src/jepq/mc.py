@@ -21,7 +21,7 @@ from .jep import (
     State,
     ThrowModel,
     UnboundedGeometric,
-    theta,
+    _step,
     validate_state,
 )
 
@@ -119,17 +119,6 @@ def _rank_sampler(rng: RngStream, model: ThrowModel) -> Callable[[], int]:
         return lambda: rng.geometric(q)
     ell = model.ell
     return lambda: rng.truncated_geometric(ell, q)
-
-
-def _step(state: State, rank: int | None) -> State:
-    """One transition: every ball falls one height, and on a throw step
-    (``rank`` not None) the ball that fell from height 0 lands on vacancy
-    ``rank`` of the shifted state."""
-    shifted = tuple([b - 1 for b in state])
-    if rank is None:
-        return shifted
-    x_star = shifted[1:]
-    return tuple(sorted(x_star + (theta(x_star, rank),)))
 
 
 class _Successors:

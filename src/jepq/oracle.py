@@ -90,22 +90,18 @@ class TransitionMatrix:
         )
 
 
-def build_transition_matrix(
-    model: ThrowModel, state_cap: int = DEFAULT_STATE_CAP
-) -> TransitionMatrix:
+def build_transition_matrix(model: ThrowModel) -> TransitionMatrix:
     """Assemble the full kernel of a bounded model over all its states."""
     if isinstance(model, UnboundedGeometric):
         raise ValueError("unbounded model has an infinite state space")
-    check_state_cap(model.m, model.n, state_cap)
+    check_state_cap(model.m, model.n, DEFAULT_STATE_CAP)
     states = enumerate_states(model.m, model.n)
     return TransitionMatrix(states, [step_kernel_row(s, model) for s in states])
 
 
-def build_extended_matrix(
-    m: int, n: int, q: Scalar, state_cap: int = DEFAULT_STATE_CAP
-) -> TransitionMatrix:
+def build_extended_matrix(m: int, n: int, q: Scalar) -> TransitionMatrix:
     """Assemble the kernel of the extended rook chain on the board of height m."""
-    check_state_cap(m, n, state_cap, placements=True)
+    check_state_cap(m, n, DEFAULT_STATE_CAP, placements=True)
     configs = enumerate_configs(m, n)
     return TransitionMatrix(configs, [extended_kernel_row(m, c, q) for c in configs])
 
@@ -271,12 +267,8 @@ def limit_rows_fixed_n(n: int, q: Scalar, m_values) -> list[LimitRow]:
     return rows
 
 
-def limit_rows_growing_n(
-    q: Scalar, n_values, m_factor: int = 2, eps: float = 1e-9
-) -> list[LimitRow]:
-    """Ground-state probabilities with m growing proportionally to n
-    (m = m_factor * n); the target is the full Euler product."""
-    if m_factor < 2:
-        raise ValueError("need m_factor >= 2 so that m - n grows with n")
-    target = euler_phi(q, eps)
-    return [_ground_row(m_factor * n, n, q, target) for n in n_values]
+def limit_rows_growing_n(q: Scalar, n_values) -> list[LimitRow]:
+    """Ground-state probabilities with m = 2n, so that m - n grows with n;
+    the target is the full Euler product, truncated at tail 1e-9."""
+    target = euler_phi(q, 1e-9)
+    return [_ground_row(2 * n, n, q, target) for n in n_values]

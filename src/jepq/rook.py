@@ -26,7 +26,6 @@ RookConfig = tuple[Cell, ...]
 __all__ = [
     "Cell",
     "RookConfig",
-    "board_cells",
     "is_board_cell",
     "validate_config",
     "enumerate_configs",
@@ -44,11 +43,6 @@ __all__ = [
 
 def is_board_cell(m: int, r: int, c: int) -> bool:
     return r >= 0 and c >= 0 and r + c <= m - 1
-
-
-def board_cells(m: int) -> list[Cell]:
-    """All m(m+1)/2 cells of the board of height m."""
-    return [(r, c) for r in range(m) for c in range(m - r)]
 
 
 def validate_config(m: int, rooks: RookConfig) -> None:
@@ -161,8 +155,6 @@ def extended_kernel_row(m: int, rooks: RookConfig, q: Scalar) -> dict[RookConfig
     uniform at q = 1.
     """
     validate_config(m, rooks)
-    if not 0 < q <= 1:
-        raise ValueError(f"need 0 < q <= 1, got q={q}")
     successors = _successors(m, rooks)
     return dict(zip(successors, truncated_geometric_pmf(len(successors), q)))
 
@@ -186,17 +178,16 @@ def extended_ground(n: int) -> RookConfig:
     return _canonical((i, n - 1 - i) for i in range(n))
 
 
-def path_to_ground(m: int, rooks: RookConfig, max_steps: int | None = None) -> list[RookConfig]:
+def path_to_ground(m: int, rooks: RookConfig) -> list[RookConfig]:
     """Drive the extended chain deterministically, always throwing to the
     lowest available row, until the ground diagonal is reached.
 
     Returns the visited path including both endpoints; raises RuntimeError
-    if the ground is not reached within ``max_steps``.
+    if the ground is not reached within (m + 1)(m + 2) steps.
     """
     validate_config(m, rooks)
     ground = extended_ground(len(rooks))
-    if max_steps is None:
-        max_steps = (m + 1) * (m + 2)
+    max_steps = (m + 1) * (m + 2)
     path = [rooks]
     current = rooks
     for _ in range(max_steps):

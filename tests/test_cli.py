@@ -297,6 +297,9 @@ def exit_code(argv):
         (["stationary", "--m", "3", "--q", "1/2"], 2),
         (["simulate", "--n", "2", "--q", "1/2"], 2),
         (["verify", "--max-m", "3", "--format", "csv"], 0),
+        # an option the chosen model cannot use
+        (["stationary", "--m", "3", "--n", "2", "--model", "bounded-uniform", "--q", "1/2"], 2),
+        (["simulate", "--model", "unbounded-geometric", "--n", "2", "--q", "1/2", "--m", "5"], 2),
     ],
 )
 def test_parser_surface(argv, code):

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from jepq import jep, mc
 from jepq.jep import (
     BoundedGeometric,
     BoundedUniform,
@@ -113,6 +114,33 @@ def test_step_kernel_examples():
     }
     # empty system: a self-loop
     assert step_kernel_row((), BoundedGeometric(3, 0, q)) == {(): 1}
+
+
+def vacancy_list_row(state, model):
+    """A kernel row built from the list of vacant heights: the k-th vacancy
+    of the shifted state, counted from below, gets the k-th throw
+    probability."""
+    if 0 not in state:
+        return {tuple(b - 1 for b in state): F(1)}
+    x_star = tuple(b - 1 for b in state[1:])
+    vacancies = [h for h in range(model.m) if h not in x_star]
+    pmf = truncated_geometric_pmf(model.ell, model.q)
+    return {tuple(sorted(x_star + (h,))): p for h, p in zip(vacancies, pmf)}
+
+
+@pytest.mark.parametrize("q", (F(1, 3), F(1, 2), F(1)))
+def test_kernel_row_matches_vacancy_list_rule(q):
+    for m in range(9):
+        for n in range(m + 1):
+            model = BoundedGeometric(m, n, q)
+            for state in enumerate_states(m, n):
+                row = step_kernel_row(state, model)
+                assert list(row.items()) == list(vacancy_list_row(state, model).items())
+
+
+def test_one_step_function():
+    # kernel rows and the Monte Carlo successor table share one step
+    assert mc._step is jep._step
 
 
 @pytest.mark.parametrize("q", QS)

@@ -39,10 +39,11 @@ def test_build_matrix_anchor():
 def test_build_matrix_rejections():
     with pytest.raises(ValueError):
         build_transition_matrix(UnboundedGeometric(2, F(1, 2)))
+    # C(30, 15) states and S(11, 6) = 179487 placements exceed the default cap
     with pytest.raises(ValueError):
-        build_transition_matrix(BoundedGeometric(30, 15, F(1, 2)), state_cap=1000)
+        build_transition_matrix(BoundedGeometric(30, 15, F(1, 2)))
     with pytest.raises(ValueError):
-        build_extended_matrix(10, 5, F(1, 2), state_cap=1000)
+        build_extended_matrix(10, 5, F(1, 2))
 
 
 @pytest.mark.parametrize("q", QS)
@@ -201,8 +202,6 @@ def test_limit_rows_growing_n():
     phi = euler_phi(0.5, 1e-9)
     assert abs(rows[-1].value - phi) < 1e-4
     assert rows[-1].error < rows[0].error
-    with pytest.raises(ValueError):
-        limit_rows_growing_n(0.5, range(1, 5), m_factor=1)
 
 
 def test_extended_solver_matches_weights_small():

@@ -19,7 +19,6 @@ from .jep import (
     SteadyStats,
     ThrowModel,
     UnboundedGeometric,
-    balance_residual,
     closed_form_stats,
     enumerate_states,
     stationary_distribution,
@@ -28,7 +27,6 @@ from .jep import (
     stationary_weights,
     step_kernel_row,
     theta,
-    throw_prob,
     truncated_geometric_pmf,
 )
 from .rook import (

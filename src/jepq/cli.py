@@ -326,12 +326,13 @@ _OPTIONS = {
     ),
 }
 
-# The options each command reads; "!" marks a required one. A command
-# without --exact always keeps q exact.
+# The options each command reads; "!" marks a required one. simulate reports
+# only floats and reads q as a float; any other command without --exact
+# always keeps q exact.
 _COMMANDS = {
     "stationary": (_cmd_stationary, "m n! q model"),
     "verify": (_cmd_verify, "max-m q"),
-    "simulate": (_cmd_simulate, "m n! q model seed steps burn-in exact"),
+    "simulate": (_cmd_simulate, "m n! q model seed steps burn-in"),
     "converge": (_cmd_converge, "n! q! m-range! exact"),
     "limits": (_cmd_limits, "n q! m-range! exact paper-literal"),
     "rook": (_cmd_rook, "m! n! q!"),
@@ -368,8 +369,9 @@ def main(argv=None) -> int:
 
     args.q_value = None
     if args.q is not None:
+        exact = getattr(args, "exact", args.command != "simulate")
         try:
-            args.q_value = parse_scalar(args.q, exact=getattr(args, "exact", True))
+            args.q_value = parse_scalar(args.q, exact=exact)
         except (ValueError, ZeroDivisionError):
             parser.error(f"cannot parse q={args.q!r}")
         except OverflowError:

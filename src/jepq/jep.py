@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Union
+from typing import Union
 
 from .qcomb import Scalar, binom2, partition_z, q_int, q_pochhammer
 
@@ -30,16 +30,13 @@ __all__ = [
     "enumerate_states",
     "validate_state",
     "theta",
-    "theta_rank",
     "truncated_geometric_pmf",
-    "throw_prob",
     "step_kernel_row",
     "stationary_weight",
     "stationary_weights",
     "stationary_prob",
     "stationary_distribution",
     "closed_form_stats",
-    "balance_residual",
 ]
 
 
@@ -128,16 +125,10 @@ def theta(excluded, x: int) -> int:
         raise ValueError(f"need x >= 0, got x={x}")
     h = x
     for a in sorted(excluded):
-        if a <= h:
-            h += 1
+        if a > h:
+            break
+        h += 1
     return h
-
-
-def theta_rank(excluded, height: int) -> int:
-    """Inverse of `theta`: how many non-excluded values lie below ``height``."""
-    if height in excluded:
-        raise ValueError(f"height {height} is excluded")
-    return height - sum(1 for a in excluded if a < height)
 
 
 def truncated_geometric_pmf(ell: int, q: Scalar) -> list[Scalar]:
@@ -153,28 +144,6 @@ def truncated_geometric_pmf(ell: int, q: Scalar) -> list[Scalar]:
         out.append(power)
         power = power * q
     return out
-
-
-def _validate_after_shift(x_star: State, model: ThrowModel) -> None:
-    if len(x_star) != model.n - 1:
-        raise ValueError(f"after-shift state needs {model.n - 1} particles")
-    if x_star and min(x_star) < 0:
-        raise ValueError(f"negative height in {x_star}")
-    if not isinstance(model, UnboundedGeometric):
-        if x_star and max(x_star) > model.m - 2:
-            raise ValueError(f"after-shift state {x_star} collides with forbidden heights")
-
-
-def throw_prob(x_star: State, height: int, model: ThrowModel) -> Scalar:
-    """Probability that the rethrown particle lands at ``height`` when the
-    other particles occupy ``x_star``."""
-    _validate_after_shift(x_star, model)
-    rank = theta_rank(x_star, height)
-    if isinstance(model, UnboundedGeometric):
-        return (1 - model.q) * model.q**rank
-    if height > model.m - 1:
-        raise ValueError(f"height {height} out of range for m={model.m}")
-    return truncated_geometric_pmf(model.ell, model.q)[rank]
 
 
 def _step(state: State, rank: int | None) -> State:
@@ -194,7 +163,7 @@ def step_kernel_row(state: State, model: ThrowModel) -> dict[State, Scalar]:
     Bounded models only; the empty state (n = 0) is a self-loop.
     """
     if isinstance(model, UnboundedGeometric):
-        raise ValueError("kernel rows need a finite state space; use throw_prob")
+        raise ValueError("kernel rows need a finite state space")
     validate_state(state, model)
     if 0 not in state:
         return {_step(state, None): Fraction(1)}
@@ -295,31 +264,3 @@ def closed_form_stats(m: int, n: int, q: Scalar) -> SteadyStats:
         throw_fraction=q ** (n - 1) * uncorrected,
         throw_fraction_uncorrected=uncorrected,
     )
-
-
-def _state_exists(state: State, model: ThrowModel) -> bool:
-    if isinstance(model, UnboundedGeometric):
-        return True
-    return not state or state[-1] <= model.m - 1
-
-
-def balance_residual(
-    state: State, pi: Callable[[State], Scalar], model: ThrowModel
-) -> Scalar:
-    """pi(B) minus the one-step inflow into B; zero iff pi balances at B.
-
-    The inflow is pi(B+1) from a waiting step plus, for each height i in B,
-    the probability of sitting one step earlier at {0} united with the rest
-    of B shifted up, times the chance of throwing to i. Predecessors that
-    fall outside the model's state space contribute nothing.
-    """
-    validate_state(state, model)
-    up = tuple(b + 1 for b in state)
-    inflow = pi(up) if _state_exists(up, model) else 0
-    for k, target in enumerate(state):
-        rest = state[:k] + state[k + 1 :]
-        pred = (0,) + tuple(b + 1 for b in rest)
-        if not _state_exists(pred, model):
-            continue
-        inflow += pi(pred) * throw_prob(rest, target, model)
-    return pi(state) - inflow

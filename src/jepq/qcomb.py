@@ -9,7 +9,7 @@ needed. Nothing in this module ever rounds a rational input.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 from typing import Union
 
 Scalar = Union[int, Fraction, float]
@@ -69,16 +69,21 @@ def euler_phi_truncation(q: Scalar, eps: float) -> tuple[int, Scalar]:
     The N-term partial product overshoots the infinite one by at most
     sum_{k>N} q^k = q^(N+1)/(1-q): every dropped factor (1-q^k) lies in
     (0,1), and 1 - prod(1-x_k) <= sum x_k for x_k in [0,1]. Returns the
-    smallest N whose bound is <= eps, together with that bound.
+    smallest N whose bound is <= eps, together with that bound, or raises
+    ValueError once N passes a cap on the work of the product.
     """
     if not 0 < q < 1:
         raise ValueError(f"need 0 < q < 1, got q={q}")
     if eps <= 0:
         raise ValueError(f"need eps > 0, got eps={eps}")
+    # N exact factors hold about N^2/2 bits per bit of q's denominator
+    cap = 10**8 if isinstance(q, float) else isqrt(2**22 // Fraction(q).denominator.bit_length())
     n = 0
     tail = q / (1 - q)
     while tail > eps:
         n += 1
+        if n > cap:
+            raise ValueError(f"the Euler product at q={q} needs over {cap} factors; use a smaller q")
         tail = tail * q
     return n, tail
 

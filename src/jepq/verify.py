@@ -24,7 +24,7 @@ from .qcomb import (
 )
 from .jep import (
     BoundedGeometric,
-    balance_residual,
+    _step,
     closed_form_stats,
     enumerate_states,
     stationary_distribution,
@@ -231,15 +231,24 @@ def _check_balance(max_m: int, qs) -> CheckResult:
             for n in range(1, m + 1):
                 model = BoundedGeometric(m, n, q)
                 law = stationary_distribution(model)
-                pi = lambda s: law.get(s, Fraction(0))
-                for state in law:
-                    if balance_residual(state, pi, model) != 0:
-                        return CheckResult(name, False, f"bounded residual at B={state}, ({m},{n},{q})")
+                if build_transition_matrix(model).push(law) != law:
+                    return CheckResult(name, False, f"bounded law not stationary at ({m},{n},{q})")
         for n in range(1, 4):
+            # Every predecessor of a state below height 11 lies below height
+            # 12, and a throw landing below 11 has rank at most 10, so this
+            # one-step inflow is exact there.
             model = UnboundedGeometric(n, q)
-            pi_inf = lambda s: stationary_prob(s, model)
+            inflow: dict = {}
+            for state in enumerate_states(12, n):
+                mass = stationary_prob(state, model)
+                if state[0] != 0:
+                    moves = [(_step(state, None), mass)]
+                else:
+                    moves = [(_step(state, r), (1 - q) * q**r * mass) for r in range(11)]
+                for succ, p in moves:
+                    inflow[succ] = inflow.get(succ, 0) + p
             for state in enumerate_states(11, n):
-                if balance_residual(state, pi_inf, model) != 0:
+                if inflow[state] != stationary_prob(state, model):
                     return CheckResult(name, False, f"unbounded residual at B={state}, n={n}, q={q}")
     return CheckResult(name, True, f"balance holds everywhere through m={max_m} and below height 11")
 

@@ -300,6 +300,11 @@ def exit_code(argv):
         # an option the chosen model cannot use
         (["stationary", "--m", "3", "--n", "2", "--model", "bounded-uniform", "--q", "1/2"], 2),
         (["simulate", "--model", "unbounded-geometric", "--n", "2", "--q", "1/2", "--m", "5"], 2),
+        # simulate reads q as a float, so q near 1 stays fast and --exact is not an option
+        (["simulate", "--model", "unbounded-geometric", "--n", "3", "--q", "0.99999",
+          "--steps", "10", "--burn-in", "0"], 0),
+        (["simulate", "--model", "unbounded-geometric", "--n", "3", "--q", "0.99999",
+          "--steps", "10", "--burn-in", "0", "--exact"], 2),
     ],
 )
 def test_parser_surface(argv, code):
@@ -330,6 +335,9 @@ def test_verify_option_spellings():
          "--burn-in", "0"],
         # an exact weight too long for Python to print in decimal
         ["stationary", "--m", "6", "--n", "5", "--q", "1e-320"],
+        # an exact Euler product with too many factors
+        ["verify", "--max-m", "3", "--q", "0.99999"],
+        ["limits", "--q", "0.99999", "--m-range", "1:2", "--exact"],
     ],
 )
 def test_bad_input_is_one_error_line(argv, capsys):

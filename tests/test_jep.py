@@ -7,7 +7,7 @@ from jepq.jep import (
     BoundedGeometric,
     BoundedUniform,
     UnboundedGeometric,
-    balance_residual,
+    _step,
     closed_form_stats,
     enumerate_states,
     stationary_distribution,
@@ -16,11 +16,10 @@ from jepq.jep import (
     stationary_weights,
     step_kernel_row,
     theta,
-    theta_rank,
-    throw_prob,
     truncated_geometric_pmf,
     validate_state,
 )
+from jepq.oracle import build_transition_matrix
 from jepq.qcomb import binom2, partition_z, q_int, q_pochhammer
 
 QS = (F(1, 3), F(1, 2), F(2, 3))
@@ -45,8 +44,8 @@ def test_theta():
     assert theta({1, 3}, 2) == 4
     assert theta({0, 1, 2}, 0) == 3
     for excluded in (set(), {1, 3}, {0, 1, 2}, {2, 5, 6}):
-        for x in range(10):
-            assert theta_rank(excluded, theta(excluded, x)) == x
+        complement = [h for h in range(20) if h not in excluded]
+        assert [theta(excluded, x) for x in range(10)] == complement[:10]
 
 
 def test_truncated_geometric_pmf():
@@ -66,39 +65,13 @@ def test_throw_pmf_bounded():
     q = F(1, 2)
     model = BoundedGeometric(3, 2, q)
     assert step_kernel_row((0, 2), model) == {(0, 1): 1 / (1 + q), (1, 2): q / (1 + q)}
-    assert [throw_prob((1,), h, model) for h in (0, 2)] == [1 / (1 + q), q / (1 + q)]
     assert step_kernel_row((0, 2), BoundedUniform(3, 2)) == {(0, 1): F(1, 2), (1, 2): F(1, 2)}
-    with pytest.raises(ValueError):
-        throw_prob((1,), 1, model)  # an occupied height
 
 
 def test_throw_pmf_unbounded_tail_is_exact():
-    q = F(1, 2)
-    model = UnboundedGeometric(1, q)
-    probs = {x: throw_prob((), x, model) for x in range(6)}
-    assert probs == {x: (1 - q) * q**x for x in range(6)}
-    assert sum(probs.values()) + q**6 == 1
-    holed = UnboundedGeometric(2, q)
-    probs = {h: throw_prob((2,), h, holed) for h in (0, 1, 3, 4)}
-    assert sum(probs.values()) + q**4 == 1
-    with pytest.raises(ValueError):
-        throw_prob((2,), 2, holed)
     # the unbounded law has no finite kernel row
     with pytest.raises(ValueError):
-        step_kernel_row((0,), model)
-
-
-def test_throw_prob_matches_pmf():
-    q = F(1, 3)
-    model = BoundedGeometric(5, 3, q)
-    row = step_kernel_row((0, 1, 3), model)  # after the shift: (0, 2)
-    assert len(row) == 3
-    for state, p in row.items():
-        (height,) = set(state) - {0, 2}
-        assert throw_prob((0, 2), height, model) == p
-    unb = UnboundedGeometric(3, q)
-    for rank, height in enumerate((1, 3, 4, 5, 6, 7, 8)):
-        assert throw_prob((0, 2), height, unb) == (1 - q) * q**rank
+        step_kernel_row((0,), UnboundedGeometric(1, F(1, 2)))
 
 
 def test_step_kernel_examples():
@@ -240,13 +213,12 @@ def test_throw_fraction_matches_occupancy(q):
 
 @pytest.mark.parametrize("q", QS)
 def test_balance_residual_zero_on_stationary(q):
+    # pi P - pi vanishes: one step of the kernel leaves the law unchanged
     for m in range(2, 7):
         for n in range(1, m + 1):
             model = BoundedGeometric(m, n, q)
             law = stationary_distribution(model)
-            pi = lambda s: law.get(s, F(0))
-            for state in law:
-                assert balance_residual(state, pi, model) == 0
+            assert build_transition_matrix(model).push(law) == law
 
 
 def test_balance_residual_detects_perturbation():
@@ -255,17 +227,25 @@ def test_balance_residual_detects_perturbation():
     law = dict(stationary_distribution(model))
     state = next(iter(law))
     law[state] *= 2
-    pi = lambda s: law.get(s, F(0))
-    assert any(balance_residual(s, pi, model) != 0 for s in law)
+    assert build_transition_matrix(model).push(law) != law
 
 
 @pytest.mark.parametrize("q", QS)
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_unbounded_balance(q, n):
+    # one step of the unbounded law from every state below height 12; below
+    # height 11 that misses no predecessor and no throw
     model = UnboundedGeometric(n, q)
-    pi = lambda s: stationary_prob(s, model)
+    inflow: dict = {}
+    for state in enumerate_states(12, n):
+        mass = stationary_prob(state, model)
+        ranks = range(11) if state[0] == 0 else [None]
+        for r in ranks:
+            p = 1 if r is None else (1 - q) * q**r
+            succ = _step(state, r)
+            inflow[succ] = inflow.get(succ, 0) + p * mass
     for state in enumerate_states(11, n):
-        assert balance_residual(state, pi, model) == 0
+        assert inflow[state] == stationary_prob(state, model)
 
 
 def test_rook_connection_identity():

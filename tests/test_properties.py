@@ -1,7 +1,9 @@
-"""Property tests: invariants of the kernels and the generator over drawn
-parameters. Examples are derived from each test's name, so every run draws
+"""Property tests: invariants of the kernels, the generator and the CLI's
+exit codes over drawn parameters. Examples are derived from each test's name, so every run draws
 the same ones."""
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +11,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from jepq.cli import _COMMANDS, _OPTIONS, main
 from jepq.jep import BoundedGeometric, _step, step_kernel_row
 from jepq.mc import RngStream
 from jepq.rook import enumerate_configs, extended_kernel_row, row_projection
@@ -71,3 +74,62 @@ def test_rng_stream_replays_and_truncated_draws_stay_in_range(seed, stream, ell,
     draws = [a.truncated_geometric(ell, q) for _ in range(20)]
     assert draws == [b.truncated_geometric(ell, q) for _ in range(20)]
     assert all(0 <= x < ell for x in draws)
+
+
+# small value pools for every known option; "--out" is left out so that no
+# run writes a file
+ints = st.integers(-2, 6).map(str)
+Q_POOL = ["0", "1/2", "1", "2", "0.99999", "1e-320", "1e400", "x"]
+VALUES = {
+    "m": ints,
+    "n": ints,
+    "seed": ints,
+    "burn-in": ints,
+    "max-m": st.sampled_from(["-1", "3", "4"]),
+    "steps": st.integers(-2, 300).map(str),
+    "q": st.sampled_from(Q_POOL),
+    "m-range": st.sampled_from(["0:8", "3:2", "a:b", "2:5"]),
+    "model": st.sampled_from(_OPTIONS["model"]["choices"]),
+    "format": st.sampled_from(["json", "csv"]),
+}
+FLAGS = sorted(name for name, spec in _OPTIONS.items() if spec.get("action") == "store_true")
+
+
+@st.composite
+def hostile_argvs(draw, command):
+    """The command with its required options, some of its other options and
+    now and then one more known option, each given a value from the pools
+    above, in any order."""
+    tokens = _COMMANDS[command][1].split() + ["format"]
+    names = [t.rstrip("!") for t in tokens if t.endswith("!") or draw(st.integers(0, 3)) < 3]
+    if draw(st.integers(0, 3)) == 3:
+        names.append(draw(st.sampled_from(sorted(VALUES) + FLAGS)))
+    values = VALUES
+    if command == "verify":
+        # verify passes at q = 1e-320, but its exact checks then take seconds
+        values = {**VALUES, "q": st.sampled_from([q for q in Q_POOL if q != "1e-320"])}
+    argv = [command]
+    for name in draw(st.permutations(names)):
+        argv.append(f"--{name}")
+        if name not in FLAGS:
+            argv.append(draw(values[name]))
+    if command == "verify":
+        # the last --max-m wins; an earlier --m or --max-m of up to 6 would
+        # make one run several seconds long
+        argv += ["--max-m", draw(VALUES["max-m"])]
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+@settings(fixed, max_examples=20)
+@given(data=st.data())
+def test_hostile_argv_exits_cleanly(command, data):
+    argv = data.draw(hostile_argvs(command))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as info:
+            code = info.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -89,6 +89,15 @@ def test_euler_phi_truncation_bound():
         euler_phi(0.5, 0.0)
 
 
+def test_euler_phi_truncation_caps_the_work():
+    # 711 exact factors at q = 29/30 fit under the cap of 915; q near 1 is
+    # refused after a few hundred exact steps instead of running for hours
+    assert euler_phi_truncation(F(29, 30), 1e-9)[0] == 711
+    with pytest.raises(ValueError, match="needs over 496 factors"):
+        euler_phi_truncation(F(99999, 100000), 1e-9)
+    assert euler_phi_truncation(0.99999, 1e-9)[0] == 3223603
+
+
 def test_q_stirling_anchors():
     q = F(1, 2)
     assert q_stirling(2, 1, q) == 1

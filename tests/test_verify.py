@@ -68,3 +68,12 @@ def test_each_check_can_fail(check, monkeypatch, capsys):
     fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
     assert fails
     assert all(line.startswith(f"FAIL {check}: ") for line in fails)
+
+
+def test_bounded_balance_can_fail(monkeypatch):
+    # the injection above reaches the unbounded half; this one the bounded half
+    original = verify.stationary_distribution
+    monkeypatch.setattr(verify, "stationary_distribution", lambda model: _bump_first(original(model)))
+    result = verify._check_balance(3, verify.DEFAULT_QS)
+    assert not result.passed
+    assert result.detail.startswith("bounded law not stationary at (2,1,")

@@ -27,6 +27,9 @@ from .jep import (
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+# a run draws uniforms in blocks that double up to the cap, never past what it can use
+_FIRST_BLOCK = 16
+_MAX_BLOCK = 512
 
 __all__ = [
     "RngStream",
@@ -60,28 +63,43 @@ class RngStream:
         self._counter = (self._counter + _GAMMA) & _MASK64
         return _mix64(self._counter)
 
+    def uniforms(self, k: int) -> list[float]:
+        """The next k values of `uniform`; the stream advances by k draws."""
+        out, c = [], self._counter
+        for _ in range(k):
+            c = (c + _GAMMA) & _MASK64
+            out.append((_mix64(c) >> 11) * 2.0**-53)
+        self._counter = c
+        return out
+
     def uniform(self) -> float:
         """A float in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
+        return self.uniforms(1)[0]
 
     def randrange(self, k: int) -> int:
         """An integer uniform on {0..k-1} (bias below 2^-53, irrelevant here)."""
-        return min(int(self.uniform() * k), k - 1)
+        return _rank(1.0, k)(self.uniform())
 
     def geometric(self, q: float) -> int:
         """Inverse-CDF geometric draw: P(X = x) = (1-q) q^x."""
-        u = 1.0 - self.uniform()
-        return int(math.log(u) / math.log(q))
+        return _rank(q)(self.uniform())
 
     def truncated_geometric(self, ell: int, q: float) -> int:
-        """Inverse-CDF draw of the geometric law conditioned on {0..ell-1};
-        q = 1 is the uniform law."""
-        if q == 1:
-            return self.randrange(ell)
-        u = self.uniform()
-        # the two logarithms share a sign, so x >= 0; rounding can reach ell
-        x = int(math.log(1.0 - u * (1.0 - q**ell)) / math.log(q))
-        return x if x < ell else ell - 1
+        """Inverse-CDF draw of the geometric law on {0..ell-1}, uniform at q = 1."""
+        return _rank(q, ell)(self.uniform())
+
+
+def _rank(q: float, ell: int | None = None) -> Callable[[float], int]:
+    """The inverse CDF of a throw law, from a uniform u in [0, 1) to a rank:
+    geometric, or with ``ell`` conditioned on {0..ell-1} (uniform at q = 1).
+    The logarithms share a sign, so ranks are >= 0; rounding can reach ell."""
+    log_q = math.log(q)
+    if ell is None:
+        return lambda u: int(math.log(1.0 - u) / log_q)
+    if q == 1:
+        return lambda u: x if (x := int(u * ell)) < ell else ell - 1
+    mass = 1.0 - q**ell
+    return lambda u: x if (x := int(math.log(1.0 - u * mass) / log_q)) < ell else ell - 1
 
 
 @dataclass
@@ -111,32 +129,21 @@ class CoupledRun:
     unbounded_states: list[State]
 
 
-def _rank_sampler(rng: RngStream, model: ThrowModel) -> Callable[[], int]:
-    """A draw of the model's throw rank: which vacancy, counted from below,
-    the rethrown particle lands on."""
-    q = float(model.q)
-    if isinstance(model, UnboundedGeometric):
-        return lambda: rng.geometric(q)
-    ell = model.ell
-    return lambda: rng.truncated_geometric(ell, q)
-
-
 class _Successors:
     """The transitions one run takes, over interned states.
 
     Each distinct state is stored once, in ``states``, under an integer id.
     ``rows[i]`` is the id state i falls to (None until that step is first
     taken) or, when state i has a ball at height 0, its throw row
-    {rank: id}. Missing entries are filled by `_step`. Given the rank, a
-    transition does not depend on the throw model, so chains of different
-    models can share one table. ``throws`` counts the throw steps taken.
+    {rank: id}. `step` fills a missing entry through `_step`. Given the
+    rank, a transition does not depend on the throw model, so chains of
+    different models can share one table.
     """
 
     def __init__(self, initial: State):
         self.states: list[State] = []
         self.ids: dict[State, int] = {}
         self.rows: list[int | dict[int, int] | None] = []
-        self.throws = 0
         self._intern(initial)
 
     def _intern(self, state: State) -> int:
@@ -147,37 +154,39 @@ class _Successors:
             self.rows.append({} if state[:1] == (0,) else None)
         return i
 
-    def step(self, i: int, rank: Callable[[], int]) -> int:
-        """The id after one step from id ``i``; ``rank`` is called for the
-        throw rank on throw steps only, so a chain that merely falls
-        consumes no randomness."""
-        row = self.rows[i]
-        if isinstance(row, dict):
-            self.throws += 1
-            r = rank()
-            j = row.get(r)
-            if j is None:
-                j = row[r] = self._intern(_step(self.states[i], r))
-            return j
-        if row is None:
-            row = self.rows[i] = self._intern(_step(self.states[i], None))
-        return row
+    def step(self, i: int, rank: int | None) -> int:
+        """Add the missing throw to ``rank`` (the fall if None) from id ``i``; return its id."""
+        j = self._intern(_step(self.states[i], rank))
+        if rank is None:
+            self.rows[i] = j
+        else:
+            self.rows[i][rank] = j
+        return j
 
 
 def simulate(model: ThrowModel, initial: State, steps: int, seed: int, stream: int = 0) -> Trajectory:
-    """Run the chain for ``steps`` transitions from ``initial``. The
-    trajectory holds one reference per step to the run's interned states."""
+    """Run the chain for ``steps`` transitions from ``initial``, drawing a rank
+    on throw steps only. The trajectory holds one reference per step to the
+    run's interned states."""
     validate_state(initial, model)
     if steps < 0:
         raise ValueError(f"need steps >= 0, got {steps}")
-    rank = _rank_sampler(RngStream(seed, stream), model)
+    rng = RngStream(seed, stream)
+    rank = _rank(float(model.q), None if isinstance(model, UnboundedGeometric) else model.ell)
     table = _Successors(initial)
-    states = [initial]
-    current = 0
-    for _ in range(steps):
-        current = table.step(current, rank)
-        states.append(table.states[current])
-    return Trajectory(initial=initial, states=states, throw_count=table.throws)
+    rows, table_states, step = table.rows, table.states, table.step
+    states, us, size = [initial], [], _FIRST_BLOCK
+    current = pos = throws = 0
+    for t in range(steps):
+        row, r = rows[current], None
+        if type(row) is dict:
+            if pos == len(us):  # each remaining step throws at most once
+                us, pos, size = rng.uniforms(min(size, steps - t)), 0, min(2 * size, _MAX_BLOCK)
+            r, pos, throws = rank(us[pos]), pos + 1, throws + 1
+        j = row if type(row) is int else None if row is None else row.get(r)
+        current = step(current, r) if j is None else j
+        states.append(table_states[current])
+    return Trajectory(initial=initial, states=states, throw_count=throws)
 
 
 def empirical_distribution(traj: Trajectory, burn_in: int = 1000) -> dict[State, float]:
@@ -213,31 +222,37 @@ def coupled_simulate(
 
     One coupled pair is consumed every step whether or not a throw happens,
     so the two paths agree through step t whenever the first t pairs agree;
-    that event has probability exactly (1 - q^ell)^t."""
+    that event has probability exactly (1 - q^ell)^t. The pairs are those
+    of `coupled_throw_pair`, read from blocks of uniforms."""
     bounded = BoundedGeometric(m, n, q)
-    unbounded = UnboundedGeometric(n, q)
+    UnboundedGeometric(n, q)  # checks 0 < q < 1
     validate_state(initial, bounded)
     rng = RngStream(seed, stream)
-    qf = float(q)
     ell = bounded.ell
+    geometric, truncated = _rank(float(q)), _rank(float(q), ell)
     table = _Successors(initial)
-    b_states = [initial]
-    u_states = [initial]
-    b_cur = u_cur = 0
+    rows, table_states, step = table.rows, table.states, table.step
+    b_states, u_states = [initial], [initial]
+    us, size = [], _FIRST_BLOCK
+    b_cur = u_cur = pos = 0
     decouple: int | None = None
     for t in range(1, steps + 1):
-        xi, xi_hat, agreed = coupled_throw_pair(rng, ell, qf)
-        b_cur = table.step(b_cur, lambda: xi_hat)
-        u_cur = table.step(u_cur, lambda: xi)
-        b_states.append(table.states[b_cur])
-        u_states.append(table.states[u_cur])
-        if decouple is None:
-            if not agreed:
-                decouple = t
-            else:
-                assert b_cur == u_cur, "coupled paths must agree while draws agree"
-    return CoupledRun(
-        first_decouple_step=decouple,
-        bounded_states=b_states,
-        unbounded_states=u_states,
-    )
+        # every step takes a uniform; a residual draw past the block takes the next one
+        if pos >= len(us):
+            us, pos, size = rng.uniforms(min(size, steps - t + 1)), 0, min(2 * size, _MAX_BLOCK)
+        xi = xi_hat = geometric(us[pos])
+        pos += 1
+        if xi >= ell:
+            xi_hat = truncated(us[pos] if pos < len(us) else rng.uniform())
+            pos += 1
+            decouple = decouple or t
+        row = rows[b_cur]
+        j = row if type(row) is int else None if row is None else row.get(xi_hat)
+        b_cur = step(b_cur, None if row is None else xi_hat) if j is None else j
+        row = rows[u_cur]
+        j = row if type(row) is int else None if row is None else row.get(xi)
+        u_cur = step(u_cur, None if row is None else xi) if j is None else j
+        b_states.append(table_states[b_cur])
+        u_states.append(table_states[u_cur])
+        assert decouple or b_cur == u_cur, "coupled paths must agree while draws agree"
+    return CoupledRun(decouple, b_states, u_states)

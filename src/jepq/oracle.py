@@ -28,7 +28,7 @@ from .jep import (
     stationary_distribution,
     step_kernel_row,
 )
-from .rook import enumerate_configs, extended_kernel_row
+from .rook import _extended_rows, enumerate_configs
 
 DEFAULT_STATE_CAP = 100_000
 
@@ -103,7 +103,7 @@ def build_extended_matrix(m: int, n: int, q: Scalar) -> TransitionMatrix:
     """Assemble the kernel of the extended rook chain on the board of height m."""
     check_state_cap(m, n, DEFAULT_STATE_CAP, placements=True)
     configs = enumerate_configs(m, n)
-    return TransitionMatrix(configs, [extended_kernel_row(m, c, q) for c in configs])
+    return TransitionMatrix(configs, _extended_rows(m, n, configs, q))
 
 
 def solve_stationary(tm: TransitionMatrix) -> dict:

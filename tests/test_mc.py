@@ -178,6 +178,107 @@ def test_coupled_simulate_matches_reference_loop_and_interns():
     assert len({id(s) for s in both}) == len(set(both))
 
 
+def reference_simulate(model, initial, steps, seed):
+    """The states and throw count of `simulate`, by per-call draws."""
+    rng = RngStream(seed)
+    q = float(model.q)
+    if isinstance(model, UnboundedGeometric):
+        draw = lambda: rng.geometric(q)
+    else:
+        draw = lambda: rng.truncated_geometric(model.ell, q)
+    states, throws = [initial], 0
+    for _ in range(steps):
+        state, threw = reference_step(states[-1], draw)
+        states.append(state)
+        throws += threw
+    return states, throws
+
+
+def reference_coupled(m, n, q, initial, steps, seed):
+    """The paths of `coupled_simulate`, by per-call coupled pairs."""
+    rng = RngStream(seed)
+    bounded, unbounded = [initial], [initial]
+    for _ in range(steps):
+        xi, xi_hat, _ = coupled_throw_pair(rng, m - n + 1, float(q))
+        bounded.append(reference_step(bounded[-1], lambda: xi_hat)[0])
+        unbounded.append(reference_step(unbounded[-1], lambda: xi)[0])
+    return bounded, unbounded
+
+
+def first_capped_block_end():
+    """Uniforms drawn once the first block of the cap size is used up."""
+    total, size = 0, mc._FIRST_BLOCK
+    while size < mc._MAX_BLOCK:
+        total, size = total + size, 2 * size
+    return total + mc._MAX_BLOCK
+
+
+# step counts on each side of the first block size, of the cap, and of the
+# end of the first capped block; a chain that throws on every step draws
+# one uniform per step
+BLOCK_EDGES = [
+    size + d
+    for size in (mc._FIRST_BLOCK, mc._MAX_BLOCK, first_capped_block_end())
+    for d in (-1, 0, 1)
+]
+
+
+@pytest.mark.parametrize("steps", BLOCK_EDGES)
+@pytest.mark.parametrize(
+    "model, initial",
+    [
+        (BoundedGeometric(3, 3, F(1, 2)), (0, 1, 2)),
+        (BoundedGeometric(7, 3, 0.3), (0, 1, 2)),
+        (BoundedUniform(7, 3), (0, 1, 2)),
+        (UnboundedGeometric(4, F(1, 2)), (0, 1, 2, 3)),
+    ],
+    ids=["every-step-throws", "float", "uniform", "unbounded"],
+)
+def test_simulate_matches_reference_loop_at_block_edges(model, initial, steps):
+    traj = simulate(model, initial, steps, seed=steps)
+    assert (traj.states, traj.throw_count) == reference_simulate(model, initial, steps, steps)
+
+
+@pytest.mark.parametrize("steps", BLOCK_EDGES)
+@pytest.mark.parametrize("m, n", [(6, 3), (3, 3)], ids=["ell4", "ell1"])
+def test_coupled_simulate_matches_reference_loop_at_block_edges(m, n, steps):
+    # at ell = 1 half the steps take a residual uniform, so blocks often
+    # run out in the middle of a step
+    initial = tuple(range(n))
+    run = coupled_simulate(m, n, F(1, 2), initial, steps, seed=steps)
+    bounded, unbounded = reference_coupled(m, n, F(1, 2), initial, steps, steps)
+    assert run.bounded_states == bounded
+    assert run.unbounded_states == unbounded
+
+
+def test_runs_draw_no_more_uniforms_than_they_can_use(monkeypatch):
+    drawn = []
+    uniforms = RngStream.uniforms
+
+    def recording(self, k):
+        drawn.append(k)
+        return uniforms(self, k)
+
+    monkeypatch.setattr(RngStream, "uniforms", recording)
+    cases = [
+        (BoundedGeometric(4, 0, F(1, 2)), ()),
+        (BoundedGeometric(12, 2, F(1, 2)), (0, 1)),
+        (BoundedGeometric(3, 3, F(1, 2)), (0, 1, 2)),
+        (UnboundedGeometric(3, F(1, 2)), (0, 1, 2)),
+    ]
+    for steps in (0, 1, 5, 12, 17, 100, 20000):
+        for model, initial in cases:
+            drawn.clear()
+            traj = simulate(model, initial, steps, seed=steps)
+            assert traj.throw_count <= sum(drawn) <= steps
+            assert max(drawn, default=0) <= mc._MAX_BLOCK
+        for m, n in ((6, 3), (3, 3)):
+            drawn.clear()
+            coupled_simulate(m, n, F(1, 2), tuple(range(n)), steps, seed=steps)
+            assert steps <= sum(drawn) <= 2 * steps
+            assert max(drawn, default=0) <= mc._MAX_BLOCK
+
+
 def test_empirical_distribution_basics():
     model = BoundedGeometric(4, 2, F(1, 2))
     traj = simulate(model, (0, 1), 5000, seed=3)

@@ -9,11 +9,11 @@ from fractions import Fraction as F
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jepq.cli import _COMMANDS, _OPTIONS, main
 from jepq.jep import BoundedGeometric, _step, step_kernel_row
-from jepq.mc import RngStream
+from jepq.mc import RngStream, _rank
 from jepq.rook import enumerate_configs, extended_kernel_row, row_projection
 
 fixed = settings(derandomize=True, deadline=None)
@@ -74,6 +74,40 @@ def test_rng_stream_replays_and_truncated_draws_stay_in_range(seed, stream, ell,
     draws = [a.truncated_geometric(ell, q) for _ in range(20)]
     assert draws == [b.truncated_geometric(ell, q) for _ in range(20)]
     assert all(0 <= x < ell for x in draws)
+
+
+@fixed
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    stream=st.integers(0, 2**16),
+    k=st.integers(0, 64),
+    ell=st.integers(1, 12),
+    q=st.one_of(exact_qs, st.floats(min_value=0.01, max_value=1.0)),
+)
+@example(seed=0, stream=0, k=9, ell=1, q=1.0)
+@example(seed=1, stream=2, k=9, ell=5, q=F(1))
+@example(seed=3, stream=4, k=9, ell=1, q=F(1, 2))
+def test_batched_draws_equal_per_call_draws(seed, stream, k, ell, q):
+    batched, single = RngStream(seed, stream), RngStream(seed, stream)
+    us = batched.uniforms(k)
+    assert us == [single.uniform() for _ in range(k)]
+    # the stream goes on where the k single draws left it
+    assert batched.uniforms(3) == [single.uniform() for _ in range(3)]
+    assert batched.next_u64() == single.next_u64()
+
+    def per_call(draw):
+        rng = RngStream(seed, stream)
+        return [draw(rng) for _ in range(k)]
+
+    # the run loops apply each law's one formula to the uniforms of a block
+    truncated = list(map(_rank(q, ell), us))
+    assert truncated == per_call(lambda rng: rng.truncated_geometric(ell, q))
+    assert all(0 <= x < ell for x in truncated)
+    uniform = list(map(_rank(1.0, ell), us))
+    assert uniform == per_call(lambda rng: rng.randrange(ell))
+    if q < 1:
+        geometric = list(map(_rank(q), us))
+        assert geometric == per_call(lambda rng: rng.geometric(q))
 
 
 # small value pools for every known option; "--out" is left out so that no

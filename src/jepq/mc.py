@@ -13,7 +13,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable
 
 from .qcomb import Scalar
 from .jep import (
@@ -27,8 +26,7 @@ from .jep import (
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
-# a run draws uniforms in blocks that double up to the cap, never past what it can use
-_FIRST_BLOCK = 16
+# a run draws uniforms in blocks of at most this many, never past what it can use
 _MAX_BLOCK = 512
 
 __all__ = [
@@ -74,32 +72,28 @@ class RngStream:
 
     def uniform(self) -> float:
         """A float in [0, 1) with 53 random bits."""
-        return self.uniforms(1)[0]
+        return (self.next_u64() >> 11) * 2.0**-53
 
     def randrange(self, k: int) -> int:
         """An integer uniform on {0..k-1} (bias below 2^-53, irrelevant here)."""
-        return _rank(1.0, k)(self.uniform())
+        return _rank(self.uniform(), 0.0, 0.0, k)
 
     def geometric(self, q: float) -> int:
         """Inverse-CDF geometric draw: P(X = x) = (1-q) q^x."""
-        return _rank(q)(self.uniform())
+        return _rank(self.uniform(), math.log(q))
 
     def truncated_geometric(self, ell: int, q: float) -> int:
         """Inverse-CDF draw of the geometric law on {0..ell-1}, uniform at q = 1."""
-        return _rank(q, ell)(self.uniform())
+        return _rank(self.uniform(), math.log(q), 1.0 - q**ell, ell)
 
 
-def _rank(q: float, ell: int | None = None) -> Callable[[float], int]:
-    """The inverse CDF of a throw law, from a uniform u in [0, 1) to a rank:
-    geometric, or with ``ell`` conditioned on {0..ell-1} (uniform at q = 1).
-    The logarithms share a sign, so ranks are >= 0; rounding can reach ell."""
-    log_q = math.log(q)
-    if ell is None:
-        return lambda u: int(math.log(1.0 - u) / log_q)
-    if q == 1:
-        return lambda u: x if (x := int(u * ell)) < ell else ell - 1
-    mass = 1.0 - q**ell
-    return lambda u: x if (x := int(math.log(1.0 - u * mass) / log_q)) < ell else ell - 1
+def _rank(u: float, log_q: float, mass: float = 1.0, ell: float = math.inf) -> int:
+    """The inverse CDF of a throw law at a uniform u in [0, 1): geometric by
+    default; with mass = 1 - q^ell, conditioned on {0..ell-1}; with mass = 0
+    (q = 1), uniform on {0..ell-1}. The logarithms share a sign, so ranks are
+    >= 0; rounding can reach ell."""
+    x = int(math.log(1.0 - u * mass) / log_q) if mass else int(u * ell)
+    return x if x < ell else ell - 1
 
 
 @dataclass
@@ -172,17 +166,20 @@ def simulate(model: ThrowModel, initial: State, steps: int, seed: int, stream: i
     if steps < 0:
         raise ValueError(f"need steps >= 0, got {steps}")
     rng = RngStream(seed, stream)
-    rank = _rank(float(model.q), None if isinstance(model, UnboundedGeometric) else model.ell)
+    q = float(model.q)
+    log_q, mass, ell = math.log(q), 1.0, math.inf
+    if not isinstance(model, UnboundedGeometric):
+        mass, ell = 1.0 - q**model.ell, model.ell
     table = _Successors(initial)
     rows, table_states, step = table.rows, table.states, table.step
-    states, us, size = [initial], [], _FIRST_BLOCK
+    states, us = [initial], []
     current = pos = throws = 0
     for t in range(steps):
         row, r = rows[current], None
         if type(row) is dict:
             if pos == len(us):  # each remaining step throws at most once
-                us, pos, size = rng.uniforms(min(size, steps - t)), 0, min(2 * size, _MAX_BLOCK)
-            r, pos, throws = rank(us[pos]), pos + 1, throws + 1
+                us, pos = rng.uniforms(min(_MAX_BLOCK, steps - t)), 0
+            r, pos, throws = _rank(us[pos], log_q, mass, ell), pos + 1, throws + 1
         j = row if type(row) is int else None if row is None else row.get(r)
         current = step(current, r) if j is None else j
         states.append(table_states[current])
@@ -228,22 +225,21 @@ def coupled_simulate(
     UnboundedGeometric(n, q)  # checks 0 < q < 1
     validate_state(initial, bounded)
     rng = RngStream(seed, stream)
-    ell = bounded.ell
-    geometric, truncated = _rank(float(q)), _rank(float(q), ell)
+    ell, qf = bounded.ell, float(q)
+    log_q, mass = math.log(qf), 1.0 - qf**ell
     table = _Successors(initial)
     rows, table_states, step = table.rows, table.states, table.step
-    b_states, u_states = [initial], [initial]
-    us, size = [], _FIRST_BLOCK
+    b_states, u_states, us = [initial], [initial], []
     b_cur = u_cur = pos = 0
     decouple: int | None = None
     for t in range(1, steps + 1):
         # every step takes a uniform; a residual draw past the block takes the next one
         if pos >= len(us):
-            us, pos, size = rng.uniforms(min(size, steps - t + 1)), 0, min(2 * size, _MAX_BLOCK)
-        xi = xi_hat = geometric(us[pos])
+            us, pos = rng.uniforms(min(_MAX_BLOCK, steps - t + 1)), 0
+        xi = xi_hat = _rank(us[pos], log_q)
         pos += 1
         if xi >= ell:
-            xi_hat = truncated(us[pos] if pos < len(us) else rng.uniform())
+            xi_hat = _rank(us[pos] if pos < len(us) else rng.uniform(), log_q, mass, ell)
             pos += 1
             decouple = decouple or t
         row = rows[b_cur]

@@ -121,63 +121,6 @@ def reference_step(state, draw):
     return tuple(b - 1 for b in state), False
 
 
-@pytest.mark.parametrize(
-    "model, initial",
-    [
-        (BoundedGeometric(7, 3, F(1, 2)), (0, 1, 2)),
-        (BoundedGeometric(7, 3, 0.3), (0, 1, 2)),
-        (BoundedUniform(7, 3), (0, 1, 2)),
-        (UnboundedGeometric(4, F(1, 2)), (0, 1, 2, 3)),
-        (BoundedGeometric(4, 0, F(1, 2)), ()),
-    ],
-    ids=["half", "float", "uniform", "unbounded", "empty"],
-)
-def test_simulate_matches_reference_loop_and_interns(model, initial, monkeypatch):
-    tables = []
-
-    class Recorded(mc._Successors):
-        def __init__(self, first):
-            super().__init__(first)
-            tables.append(self)
-
-    monkeypatch.setattr(mc, "_Successors", Recorded)
-    rng = RngStream(21)
-    q = float(model.q)
-    if isinstance(model, UnboundedGeometric):
-        draw = lambda: rng.geometric(q)
-    else:
-        draw = lambda: rng.truncated_geometric(model.ell, q)
-    states, throws = [initial], 0
-    for _ in range(5000):
-        state, threw = reference_step(states[-1], draw)
-        states.append(state)
-        throws += threw
-    traj = simulate(model, initial, 5000, seed=21)
-    assert traj.states == states
-    assert traj.throw_count == throws
-    # each distinct state is one object, shared by every step that visits it,
-    # and the run's table holds one entry per distinct state visited
-    assert len({id(s) for s in traj.states}) == len(set(traj.states))
-    assert len(tables[0].states) == len(tables[0].rows) == len(set(traj.states))
-
-
-def test_coupled_simulate_matches_reference_loop_and_interns():
-    initial = (0, 1, 2)
-    run = coupled_simulate(6, 3, F(1, 2), initial, 5000, seed=8)
-    assert run.first_decouple_step is not None
-    rng = RngStream(8)
-    bounded, unbounded = [initial], [initial]
-    for _ in range(5000):
-        xi, xi_hat, _ = coupled_throw_pair(rng, 4, 0.5)
-        bounded.append(reference_step(bounded[-1], lambda: xi_hat)[0])
-        unbounded.append(reference_step(unbounded[-1], lambda: xi)[0])
-    assert run.bounded_states == bounded
-    assert run.unbounded_states == unbounded
-    # the two paths draw their states from one table
-    both = run.bounded_states + run.unbounded_states
-    assert len({id(s) for s in both}) == len(set(both))
-
-
 def reference_simulate(model, initial, steps, seed):
     """The states and throw count of `simulate`, by per-call draws."""
     rng = RngStream(seed)
@@ -205,34 +148,54 @@ def reference_coupled(m, n, q, initial, steps, seed):
     return bounded, unbounded
 
 
-def first_capped_block_end():
-    """Uniforms drawn once the first block of the cap size is used up."""
-    total, size = 0, mc._FIRST_BLOCK
-    while size < mc._MAX_BLOCK:
-        total, size = total + size, 2 * size
-    return total + mc._MAX_BLOCK
-
-
-# step counts on each side of the first block size, of the cap, and of the
-# end of the first capped block; a chain that throws on every step draws
-# one uniform per step
-BLOCK_EDGES = [
-    size + d
-    for size in (mc._FIRST_BLOCK, mc._MAX_BLOCK, first_capped_block_end())
-    for d in (-1, 0, 1)
+MODELS = [
+    pytest.param(BoundedGeometric(7, 3, F(1, 2)), (0, 1, 2), id="half"),
+    pytest.param(BoundedGeometric(7, 3, 0.3), (0, 1, 2), id="float"),
+    pytest.param(BoundedUniform(7, 3), (0, 1, 2), id="uniform"),
+    pytest.param(UnboundedGeometric(4, F(1, 2)), (0, 1, 2, 3), id="unbounded"),
+    pytest.param(BoundedGeometric(4, 0, F(1, 2)), (), id="empty"),
 ]
+
+
+@pytest.mark.parametrize("model, initial", MODELS)
+def test_simulate_matches_reference_loop_and_interns(model, initial, monkeypatch):
+    tables = []
+
+    class Recorded(mc._Successors):
+        def __init__(self, first):
+            super().__init__(first)
+            tables.append(self)
+
+    monkeypatch.setattr(mc, "_Successors", Recorded)
+    traj = simulate(model, initial, 5000, seed=21)
+    assert (traj.states, traj.throw_count) == reference_simulate(model, initial, 5000, 21)
+    # each distinct state is one object, shared by every step that visits it,
+    # and the run's table holds one entry per distinct state visited
+    assert len({id(s) for s in traj.states}) == len(set(traj.states))
+    assert len(tables[0].states) == len(tables[0].rows) == len(set(traj.states))
+
+
+def test_coupled_simulate_matches_reference_loop_and_interns():
+    initial = (0, 1, 2)
+    run = coupled_simulate(6, 3, F(1, 2), initial, 5000, seed=8)
+    assert run.first_decouple_step is not None
+    bounded, unbounded = reference_coupled(6, 3, F(1, 2), initial, 5000, 8)
+    assert run.bounded_states == bounded
+    assert run.unbounded_states == unbounded
+    # the two paths draw their states from one table
+    both = run.bounded_states + run.unbounded_states
+    assert len({id(s) for s in both}) == len(set(both))
+
+
+# step counts on each side of one and of two full blocks; a chain that
+# throws on every step draws one uniform per step
+BLOCK_EDGES = [blocks * mc._MAX_BLOCK + d for blocks in (1, 2) for d in (-1, 0, 1)]
 
 
 @pytest.mark.parametrize("steps", BLOCK_EDGES)
 @pytest.mark.parametrize(
     "model, initial",
-    [
-        (BoundedGeometric(3, 3, F(1, 2)), (0, 1, 2)),
-        (BoundedGeometric(7, 3, 0.3), (0, 1, 2)),
-        (BoundedUniform(7, 3), (0, 1, 2)),
-        (UnboundedGeometric(4, F(1, 2)), (0, 1, 2, 3)),
-    ],
-    ids=["every-step-throws", "float", "uniform", "unbounded"],
+    [pytest.param(BoundedGeometric(3, 3, F(1, 2)), (0, 1, 2), id="every-step-throws"), *MODELS[1:4]],
 )
 def test_simulate_matches_reference_loop_at_block_edges(model, initial, steps):
     traj = simulate(model, initial, steps, seed=steps)

@@ -3,6 +3,7 @@ exit codes over drawn parameters. Examples are derived from each test's name, so
 the same ones."""
 
 import io
+import math
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from jepq.cli import _COMMANDS, _OPTIONS, main
 from jepq.jep import BoundedGeometric, _step, step_kernel_row
-from jepq.mc import RngStream, _rank
+from jepq.mc import RngStream
 from jepq.rook import enumerate_configs, extended_kernel_row, row_projection
 
 fixed = settings(derandomize=True, deadline=None)
@@ -99,15 +100,23 @@ def test_batched_draws_equal_per_call_draws(seed, stream, k, ell, q):
         rng = RngStream(seed, stream)
         return [draw(rng) for _ in range(k)]
 
-    # the run loops apply each law's one formula to the uniforms of a block
-    truncated = list(map(_rank(q, ell), us))
-    assert truncated == per_call(lambda rng: rng.truncated_geometric(ell, q))
+    # each per-call draw is its law's inverse CDF, written out here, at the
+    # uniforms of the batch
+    def uniform_rank(u):
+        return min(int(u * ell), ell - 1)
+
+    def truncated_rank(u):
+        if q == 1:
+            return uniform_rank(u)
+        return min(int(math.log(1.0 - u * (1.0 - q**ell)) / math.log(q)), ell - 1)
+
+    truncated = per_call(lambda rng: rng.truncated_geometric(ell, q))
+    assert truncated == list(map(truncated_rank, us))
     assert all(0 <= x < ell for x in truncated)
-    uniform = list(map(_rank(1.0, ell), us))
-    assert uniform == per_call(lambda rng: rng.randrange(ell))
+    assert per_call(lambda rng: rng.randrange(ell)) == list(map(uniform_rank, us))
     if q < 1:
-        geometric = list(map(_rank(q), us))
-        assert geometric == per_call(lambda rng: rng.geometric(q))
+        geometric = per_call(lambda rng: rng.geometric(q))
+        assert geometric == [int(math.log(1.0 - u) / math.log(q)) for u in us]
 
 
 # small value pools for every known option; "--out" is left out so that no

@@ -36,7 +36,6 @@ from .rook import (
     extended_distribution,
     extended_ground,
     extended_kernel_row,
-    extended_weight,
     extensions,
     row_projection,
 )
@@ -46,7 +45,6 @@ from .oracle import (
     TransitionMatrix,
     build_extended_matrix,
     build_transition_matrix,
-    coupling_bound,
     limit_rows_fixed_n,
     limit_rows_growing_n,
     solve_stationary,
@@ -58,7 +56,6 @@ from .mc import (
     RngStream,
     Trajectory,
     coupled_simulate,
-    coupled_throw_pair,
     empirical_distribution,
     simulate,
 )

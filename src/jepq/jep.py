@@ -171,14 +171,6 @@ def step_kernel_row(state: State, model: ThrowModel) -> dict[State, Scalar]:
     return {_step(state, rank): p for rank, p in enumerate(pmf)}
 
 
-def _vacancies_above(state: State, m: int) -> list[int]:
-    """1 + v(x) for each height x in the state: the count of heights in
-    {x..m-1} outside the state, plus one. For the k-th particle (1-based)
-    this equals m - n - x + k."""
-    n = len(state)
-    return [m - n - x + k for k, x in enumerate(state, start=1)]
-
-
 def _q_ints(ell: int, q: Scalar) -> list[Scalar]:
     """[0]_q, [1]_q, ..., [ell]_q: every vacancy factor a weight can use."""
     return [q_int(k, q) for k in range(ell + 1)]
@@ -186,10 +178,11 @@ def _q_ints(ell: int, q: Scalar) -> list[Scalar]:
 
 def _bounded_weight(state: State, m: int, q: Scalar, qints: list[Scalar]) -> Scalar:
     """The vacancy factors [1 + v(x)] in particle order, then q^(sum of
-    heights); every factor is an entry of ``qints = _q_ints(m - n + 1, q)``."""
-    weight = 1 + 0 * q
-    for count in _vacancies_above(state, m):
-        weight = weight * qints[count]
+    heights). For the k-th particle (1-based) at x, 1 + v(x) = m - n - x + k,
+    so every factor is an entry of ``qints = _q_ints(m - n + 1, q)``."""
+    weight, n = 1 + 0 * q, len(state)
+    for k, x in enumerate(state, start=1):
+        weight = weight * qints[m - n - x + k]
     return weight * q ** sum(state)
 
 

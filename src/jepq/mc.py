@@ -35,7 +35,6 @@ __all__ = [
     "CoupledRun",
     "simulate",
     "empirical_distribution",
-    "coupled_throw_pair",
     "coupled_simulate",
 ]
 
@@ -57,34 +56,14 @@ class RngStream:
         self.stream = stream
         self._counter = _mix64(seed ^ _mix64(stream * _GAMMA & _MASK64))
 
-    def next_u64(self) -> int:
-        self._counter = (self._counter + _GAMMA) & _MASK64
-        return _mix64(self._counter)
-
     def uniforms(self, k: int) -> list[float]:
-        """The next k values of `uniform`; the stream advances by k draws."""
+        """The next k floats in [0, 1), 53 random bits each; the stream advances by k."""
         out, c = [], self._counter
         for _ in range(k):
             c = (c + _GAMMA) & _MASK64
             out.append((_mix64(c) >> 11) * 2.0**-53)
         self._counter = c
         return out
-
-    def uniform(self) -> float:
-        """A float in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
-    def randrange(self, k: int) -> int:
-        """An integer uniform on {0..k-1} (bias below 2^-53, irrelevant here)."""
-        return _rank(self.uniform(), 0.0, 0.0, k)
-
-    def geometric(self, q: float) -> int:
-        """Inverse-CDF geometric draw: P(X = x) = (1-q) q^x."""
-        return _rank(self.uniform(), math.log(q))
-
-    def truncated_geometric(self, ell: int, q: float) -> int:
-        """Inverse-CDF draw of the geometric law on {0..ell-1}, uniform at q = 1."""
-        return _rank(self.uniform(), math.log(q), 1.0 - q**ell, ell)
 
 
 def _rank(u: float, log_q: float, mass: float = 1.0, ell: float = math.inf) -> int:
@@ -197,30 +176,19 @@ def empirical_distribution(traj: Trajectory, burn_in: int = 1000) -> dict[State,
     return {state: c / total for state, c in counts.items()}
 
 
-def coupled_throw_pair(rng: RngStream, ell: int, q: float) -> tuple[int, int, bool]:
-    """One maximal-coupling draw of (unbounded, truncated) throw ranks.
-
-    The unbounded draw is geometric; when it lands below ell the truncated
-    draw copies it, otherwise the truncated draw is fresh. Disagreement
-    happens exactly with probability q^ell (the distance between the two
-    laws), and the copy-plus-residual construction leaves the truncated
-    marginal exact."""
-    xi = rng.geometric(q)
-    if xi < ell:
-        return xi, xi, True
-    return xi, rng.truncated_geometric(ell, q), False
-
-
 def coupled_simulate(
     m: int, n: int, q: Scalar, initial: State, steps: int, seed: int, stream: int = 0
 ) -> CoupledRun:
     """Run the bounded and unbounded chains from one initial state, feeding
-    both from a per-step sequence of coupled throw ranks.
+    both one maximal-coupling pair of throw ranks per step.
 
-    One coupled pair is consumed every step whether or not a throw happens,
-    so the two paths agree through step t whenever the first t pairs agree;
-    that event has probability exactly (1 - q^ell)^t. The pairs are those
-    of `coupled_throw_pair`, read from blocks of uniforms."""
+    The unbounded rank is geometric. The truncated rank copies it when it is
+    below ell, and is otherwise a fresh truncated-geometric draw from the
+    next uniform, so a pair disagrees with probability exactly q^ell (the
+    distance between the two laws) and the truncated marginal stays exact.
+    A pair is consumed every step whether or not a throw happens, so the two
+    paths agree through step t, with probability exactly (1 - q^ell)^t,
+    whenever the first t pairs agree."""
     bounded = BoundedGeometric(m, n, q)
     UnboundedGeometric(n, q)  # checks 0 < q < 1
     validate_state(initial, bounded)
@@ -239,7 +207,7 @@ def coupled_simulate(
         xi = xi_hat = _rank(us[pos], log_q)
         pos += 1
         if xi >= ell:
-            xi_hat = _rank(us[pos] if pos < len(us) else rng.uniform(), log_q, mass, ell)
+            xi_hat = _rank(us[pos] if pos < len(us) else rng.uniforms(1)[0], log_q, mass, ell)
             pos += 1
             decouple = decouple or t
         row = rows[b_cur]

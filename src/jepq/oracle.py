@@ -43,7 +43,6 @@ __all__ = [
     "solve_stationary",
     "total_variation",
     "tv_to_unbounded",
-    "coupling_bound",
     "limit_rows_fixed_n",
     "limit_rows_growing_n",
 ]
@@ -213,17 +212,6 @@ def tv_to_unbounded(m: int, n: int, q: Scalar, state_cap: int = DEFAULT_STATE_CA
     )
 
 
-def coupling_bound(t: int, d_init: Scalar, d_throw: Scalar) -> Scalar:
-    """Bound on the distance between two coupled chains after t steps:
-    1 - (1 - d_init) (1 - d_throw)^t."""
-    if t < 0:
-        raise ValueError(f"need t >= 0, got t={t}")
-    for name, d in (("d_init", d_init), ("d_throw", d_throw)):
-        if not 0 <= d <= 1:
-            raise ValueError(f"need 0 <= {name} <= 1, got {d}")
-    return 1 - (1 - d_init) * (1 - d_throw) ** t
-
-
 @dataclass(frozen=True)
 class LimitRow:
     """Ground-state probability at (m, n, q) against its large-m target.
@@ -270,5 +258,5 @@ def limit_rows_fixed_n(n: int, q: Scalar, m_values) -> list[LimitRow]:
 def limit_rows_growing_n(q: Scalar, n_values) -> list[LimitRow]:
     """Ground-state probabilities with m = 2n, so that m - n grows with n;
     the target is the full Euler product, truncated at tail 1e-9."""
-    target = euler_phi(q, 1e-9)
+    target = euler_phi(q)
     return [_ground_row(2 * n, n, q, target) for n in n_values]

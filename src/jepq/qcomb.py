@@ -13,6 +13,7 @@ from math import comb, isqrt
 from typing import Union
 
 Scalar = Union[int, Fraction, float]
+_PHI_EPS = 1e-9  # the certified tail at which `euler_phi` stops multiplying
 
 __all__ = [
     "Scalar",
@@ -88,13 +89,13 @@ def euler_phi_truncation(q: Scalar, eps: float) -> tuple[int, Scalar]:
     return n, tail
 
 
-def euler_phi(q: Scalar, eps: float = 1e-12) -> Scalar:
-    """prod_{k>=1} (1 - q^k), truncated once the certified tail drops below eps.
+def euler_phi(q: Scalar) -> Scalar:
+    """prod_{k>=1} (1 - q^k), truncated once the certified tail drops below 1e-9.
 
-    The returned value overestimates the limit by at most eps (see
+    The returned value overestimates the limit by at most 1e-9 (see
     `euler_phi_truncation` for the bound).
     """
-    n, _ = euler_phi_truncation(q, eps)
+    n, _ = euler_phi_truncation(q, _PHI_EPS)
     return q_pochhammer(n, q)
 
 

@@ -26,7 +26,6 @@ RookConfig = tuple[Cell, ...]
 __all__ = [
     "Cell",
     "RookConfig",
-    "is_board_cell",
     "validate_config",
     "enumerate_configs",
     "circ",
@@ -34,15 +33,10 @@ __all__ = [
     "extensions",
     "row_projection",
     "extended_kernel_row",
-    "extended_weight",
     "extended_distribution",
     "extended_ground",
     "path_to_ground",
 ]
-
-
-def is_board_cell(m: int, r: int, c: int) -> bool:
-    return r >= 0 and c >= 0 and r + c <= m - 1
 
 
 def validate_config(m: int, rooks: RookConfig) -> None:
@@ -53,7 +47,7 @@ def validate_config(m: int, rooks: RookConfig) -> None:
     if len(set(rows)) != len(rooks) or len(set(cols)) != len(rooks):
         raise ValueError(f"attacking placement: {rooks}")
     for r, c in rooks:
-        if not is_board_cell(m, r, c):
+        if not (r >= 0 and c >= 0 and r + c <= m - 1):
             raise ValueError(f"cell {(r, c)} off the board of height {m}")
 
 
@@ -164,17 +158,12 @@ def _extended_rows(m: int, n: int, configs: list[RookConfig], q: Scalar) -> list
     return [dict(zip(s, laws[len(s)])) for s in (_successors(m, c) for c in configs)]
 
 
-def extended_weight(m: int, rooks: RookConfig, q: Scalar) -> Scalar:
-    """Unnormalized extended stationary weight q^(-circ)."""
-    return q ** (-circ(m, rooks))
-
-
 def extended_distribution(m: int, n: int, q: Scalar) -> dict[RookConfig, Scalar]:
     """The extended stationary law over `enumerate_configs(m, n)`: each
     weight q^(-circ) divided by one Gould triangle value G[m+1, m-n+1] at
     base 1/q."""
     z = gould_stirling(m + 1, m - n + 1, 1 / q)
-    return {c: extended_weight(m, c, q) / z for c in enumerate_configs(m, n)}
+    return {c: q**-v / z for c, v in sorted(_placements_with_circ(m, n))}
 
 
 def extended_ground(n: int) -> RookConfig:

@@ -92,15 +92,17 @@ def _check_scalar_identities(max_m: int, qs) -> CheckResult:
             if gould_stirling(a, b, Fraction(1)) != _classical_stirling(a, b):
                 return CheckResult(name, False, f"classical Gould limit at ({a},{b})")
     for q in qs:
-        phi = euler_phi(q, 1e-9)
-        prev = None
+        phi = euler_phi(q)
+        poch = power = 1 + 0 * q
         for n in range(1, 30):
-            poch = q_pochhammer(n, q)
-            if prev is not None and not poch < prev:
+            prev, power = poch, power * q
+            poch = poch * (1 - power)
+            if n > 1 and not poch < prev:
                 return CheckResult(name, False, f"(q;q)_n not decreasing at n={n}, q={q}")
             if poch < phi - 1e-9:
                 return CheckResult(name, False, f"(q;q)_n fell below the Euler product at n={n}")
-            prev = poch
+        if poch != q_pochhammer(29, q):
+            return CheckResult(name, False, f"(q;q)_29 differs from its running product at q={q}")
     return CheckResult(name, True, "q-integer, triangle, and product identities hold")
 
 

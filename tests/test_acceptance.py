@@ -154,7 +154,7 @@ def test_criterion_09_limit_formulas_float_mode():
             assert row.error <= bound + 1e-8, (row.m, n)
     # with m = 2n the ground probability approaches the Euler product
     rows = limit_rows_growing_n(0.5, range(1, 26))
-    phi = euler_phi(0.5, 1e-9)
+    phi = euler_phi(0.5)
     assert abs(rows[-1].value - phi) < 1e-6
     # the uncorrected display converges to twice the target at n = 2, not to it
     last = limit_rows_fixed_n(2, 0.5, [40])[0]

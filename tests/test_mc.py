@@ -1,4 +1,5 @@
 import hashlib
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -16,7 +17,6 @@ from jepq.jep import (
 from jepq.mc import (
     RngStream,
     coupled_simulate,
-    coupled_throw_pair,
     empirical_distribution,
     simulate,
 )
@@ -35,16 +35,16 @@ def chi2_stat(counts, probs, total):
 def test_rng_reproducibility():
     a = RngStream(12345, stream=7)
     b = RngStream(12345, stream=7)
-    assert [a.next_u64() for _ in range(100)] == [b.next_u64() for _ in range(100)]
+    assert a.uniforms(100) == b.uniforms(100)
     c = RngStream(12345, stream=8)
-    assert c.next_u64() != RngStream(12345, stream=7).next_u64()
+    assert c.uniforms(1) != RngStream(12345, stream=7).uniforms(1)
     with pytest.raises(ValueError):
         RngStream(-1)
 
 
 def test_rng_uniform_range():
     rng = RngStream(99)
-    values = [rng.uniform() for _ in range(10_000)]
+    values = rng.uniforms(10_000)
     assert all(0 <= v < 1 for v in values)
     assert abs(sum(values) / len(values) - 0.5) < 0.02
 
@@ -53,8 +53,8 @@ def test_truncated_geometric_sampler_fits_pmf():
     rng = RngStream(2024)
     total = 1_000_000
     counts: dict[int, int] = {}
-    for _ in range(total):
-        x = rng.truncated_geometric(4, 0.5)
+    for u in rng.uniforms(total):
+        x = mc._rank(u, math.log(0.5), 1.0 - 0.5**4, 4)
         counts[x] = counts.get(x, 0) + 1
     probs = {x: float(p) for x, p in enumerate(truncated_geometric_pmf(4, F(1, 2)))}
     assert set(counts) <= set(probs)
@@ -65,8 +65,8 @@ def test_geometric_sampler_fits_pmf():
     rng = RngStream(2025)
     total = 1_000_000
     counts: dict[int, int] = {}
-    for _ in range(total):
-        x = min(rng.geometric(0.5), 10)  # lump the tail into one bin
+    for u in rng.uniforms(total):
+        x = min(mc._rank(u, math.log(0.5)), 10)  # lump the tail into one bin
         counts[x] = counts.get(x, 0) + 1
     probs = {x: 0.5**x * 0.5 for x in range(10)}
     probs[10] = 0.5**10
@@ -77,8 +77,8 @@ def test_uniform_sampler_fits_pmf():
     rng = RngStream(2026)
     total = 1_000_000
     counts: dict[int, int] = {}
-    for _ in range(total):
-        x = rng.randrange(6)
+    for u in rng.uniforms(total):
+        x = mc._rank(u, 0.0, 0.0, 6)
         counts[x] = counts.get(x, 0) + 1
     probs = {x: 1 / 6 for x in range(6)}
     assert chi2_stat(counts, probs, total) < CHI2_999[5]
@@ -121,14 +121,38 @@ def reference_step(state, draw):
     return tuple(b - 1 for b in state), False
 
 
-def reference_simulate(model, initial, steps, seed):
-    """The states and throw count of `simulate`, by per-call draws."""
+def reference_rank(u, q, ell=None):
+    """The inverse CDF of a throw law at a uniform u, written out: geometric
+    when ell is None, else the geometric law on {0..ell-1}, uniform at q = 1."""
+    if ell is None:
+        return int(math.log(1.0 - u) / math.log(q))
+    if q == 1:
+        return min(int(u * ell), ell - 1)
+    return min(int(math.log(1.0 - u * (1.0 - q**ell)) / math.log(q)), ell - 1)
+
+
+def reference_uniforms(seed):
+    """The run's uniforms, read one at a time."""
     rng = RngStream(seed)
-    q = float(model.q)
-    if isinstance(model, UnboundedGeometric):
-        draw = lambda: rng.geometric(q)
-    else:
-        draw = lambda: rng.truncated_geometric(model.ell, q)
+    while True:
+        yield rng.uniforms(1)[0]
+
+
+def reference_pair(us, ell, q):
+    """One maximal-coupling pair (unbounded, truncated, agreed) from the
+    uniforms ``us``: the truncated rank copies a geometric rank below ell
+    and is drawn afresh from the next uniform otherwise."""
+    xi = reference_rank(next(us), q)
+    if xi < ell:
+        return xi, xi, True
+    return xi, reference_rank(next(us), q, ell), False
+
+
+def reference_simulate(model, initial, steps, seed):
+    """The states and throw count of `simulate`, one uniform per throw."""
+    us, q = reference_uniforms(seed), float(model.q)
+    ell = None if isinstance(model, UnboundedGeometric) else model.ell
+    draw = lambda: reference_rank(next(us), q, ell)
     states, throws = [initial], 0
     for _ in range(steps):
         state, threw = reference_step(states[-1], draw)
@@ -138,11 +162,11 @@ def reference_simulate(model, initial, steps, seed):
 
 
 def reference_coupled(m, n, q, initial, steps, seed):
-    """The paths of `coupled_simulate`, by per-call coupled pairs."""
-    rng = RngStream(seed)
+    """The paths of `coupled_simulate`, one coupled pair per step."""
+    us = reference_uniforms(seed)
     bounded, unbounded = [initial], [initial]
     for _ in range(steps):
-        xi, xi_hat, _ = coupled_throw_pair(rng, m - n + 1, float(q))
+        xi, xi_hat, _ = reference_pair(us, m - n + 1, float(q))
         bounded.append(reference_step(bounded[-1], lambda: xi_hat)[0])
         unbounded.append(reference_step(unbounded[-1], lambda: xi)[0])
     return bounded, unbounded
@@ -290,12 +314,13 @@ def test_unbounded_simulation_reaches_closed_form():
 
 
 def test_coupled_throw_pair_statistics():
-    rng = RngStream(606)
+    # the reference pair is tied to `coupled_simulate` by the reference-loop tests
+    us = reference_uniforms(606)
     total = 1_000_000
     agreed = 0
     hist: dict[int, int] = {}
     for _ in range(total):
-        xi, xi_hat, ok = coupled_throw_pair(rng, 4, 0.5)
+        xi, xi_hat, ok = reference_pair(us, 4, 0.5)
         agreed += ok
         hist[xi_hat] = hist.get(xi_hat, 0) + 1
         if not ok:

@@ -15,7 +15,6 @@ from jepq.oracle import (
     TransitionMatrix,
     build_extended_matrix,
     build_transition_matrix,
-    coupling_bound,
     limit_rows_fixed_n,
     limit_rows_growing_n,
     solve_stationary,
@@ -171,19 +170,6 @@ def test_tv_specific_bound_instance():
     assert row.tv <= 20 * F(1, 2) ** 18
 
 
-def test_coupling_bound():
-    assert coupling_bound(5, 0, 0) == 0
-    assert coupling_bound(0, F(1, 4), F(1, 2)) == F(1, 4)
-    q = F(1, 2)
-    for m in (2, 5, 9):
-        ell = m
-        assert coupling_bound(m, 0, q**ell) == 1 - (1 - q**ell) ** m
-    with pytest.raises(ValueError):
-        coupling_bound(3, F(3, 2), 0)
-    with pytest.raises(ValueError):
-        coupling_bound(-1, 0, 0)
-
-
 def test_limit_rows_fixed_n():
     rows = limit_rows_fixed_n(1, F(1, 2), range(1, 12))
     for row in rows:
@@ -199,7 +185,7 @@ def test_limit_rows_fixed_n():
 
 def test_limit_rows_growing_n():
     rows = limit_rows_growing_n(0.5, range(1, 16))
-    phi = euler_phi(0.5, 1e-9)
+    phi = euler_phi(0.5)
     assert abs(rows[-1].value - phi) < 1e-4
     assert rows[-1].error < rows[0].error
 

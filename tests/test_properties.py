@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from jepq.cli import _COMMANDS, _OPTIONS, main
 from jepq.jep import BoundedGeometric, _step, step_kernel_row
-from jepq.mc import RngStream
+from jepq.mc import RngStream, _rank
 from jepq.rook import enumerate_configs, extended_kernel_row, row_projection
 
 fixed = settings(derandomize=True, deadline=None)
@@ -72,8 +72,9 @@ def test_extended_row_projects_onto_base_row(case):
 )
 def test_rng_stream_replays_and_truncated_draws_stay_in_range(seed, stream, ell, q):
     a, b = RngStream(seed, stream), RngStream(seed, stream)
-    draws = [a.truncated_geometric(ell, q) for _ in range(20)]
-    assert draws == [b.truncated_geometric(ell, q) for _ in range(20)]
+    us = a.uniforms(20)
+    assert us == b.uniforms(20)
+    draws = [_rank(u, math.log(q), 1.0 - q**ell, ell) for u in us]
     assert all(0 <= x < ell for x in draws)
 
 
@@ -91,17 +92,13 @@ def test_rng_stream_replays_and_truncated_draws_stay_in_range(seed, stream, ell,
 def test_batched_draws_equal_per_call_draws(seed, stream, k, ell, q):
     batched, single = RngStream(seed, stream), RngStream(seed, stream)
     us = batched.uniforms(k)
-    assert us == [single.uniform() for _ in range(k)]
+    assert us == [single.uniforms(1)[0] for _ in range(k)]
+    assert all(0 <= u < 1 for u in us)
     # the stream goes on where the k single draws left it
-    assert batched.uniforms(3) == [single.uniform() for _ in range(3)]
-    assert batched.next_u64() == single.next_u64()
+    assert batched.uniforms(3) == single.uniforms(3)
 
-    def per_call(draw):
-        rng = RngStream(seed, stream)
-        return [draw(rng) for _ in range(k)]
-
-    # each per-call draw is its law's inverse CDF, written out here, at the
-    # uniforms of the batch
+    # each rank is its law's inverse CDF, written out here, at the uniforms
+    # of the batch
     def uniform_rank(u):
         return min(int(u * ell), ell - 1)
 
@@ -110,12 +107,13 @@ def test_batched_draws_equal_per_call_draws(seed, stream, k, ell, q):
             return uniform_rank(u)
         return min(int(math.log(1.0 - u * (1.0 - q**ell)) / math.log(q)), ell - 1)
 
-    truncated = per_call(lambda rng: rng.truncated_geometric(ell, q))
+    log_q = math.log(q)
+    truncated = [_rank(u, log_q, 1.0 - q**ell, ell) for u in us]
     assert truncated == list(map(truncated_rank, us))
     assert all(0 <= x < ell for x in truncated)
-    assert per_call(lambda rng: rng.randrange(ell)) == list(map(uniform_rank, us))
+    assert [_rank(u, 0.0, 0.0, ell) for u in us] == list(map(uniform_rank, us))
     if q < 1:
-        geometric = per_call(lambda rng: rng.geometric(q))
+        geometric = [_rank(u, log_q) for u in us]
         assert geometric == [int(math.log(1.0 - u) / math.log(q)) for u in us]
 
 

@@ -66,7 +66,7 @@ def test_q_pochhammer_anchors():
 
 @pytest.mark.parametrize("q", QS)
 def test_q_pochhammer_decreasing_and_bounded(q):
-    phi = euler_phi(q, 1e-9)
+    phi = euler_phi(q)
     values = [q_pochhammer(n, q) for n in range(40)]
     for a, b in zip(values, values[1:]):
         assert b < a
@@ -78,15 +78,15 @@ def test_euler_phi_truncation_bound():
     assert 0.5 ** (n + 1) / 0.5 <= 1e-9
     assert tail <= 1e-9
     # reference value of the infinite product at q = 1/2
-    assert abs(euler_phi(0.5, 1e-9) - 0.2887880950866024) < 1e-9
+    assert abs(euler_phi(0.5) - 0.2887880950866024) < 1e-9
     # deeper truncations agree within the certified tails
-    assert abs(euler_phi(0.5, 1e-9) - float(q_pochhammer(50, F(1, 2)))) < 2e-9
-    assert 0 < euler_phi(1 / 3, 1e-9) < 1
-    assert euler_phi(1 / 3, 1e-9) > euler_phi(0.5, 1e-9)
+    assert abs(euler_phi(0.5) - float(q_pochhammer(50, F(1, 2)))) < 2e-9
+    assert 0 < euler_phi(1 / 3) < 1
+    assert euler_phi(1 / 3) > euler_phi(0.5)
     with pytest.raises(ValueError):
-        euler_phi(1.5, 1e-9)
+        euler_phi(1.5)
     with pytest.raises(ValueError):
-        euler_phi(0.5, 0.0)
+        euler_phi_truncation(0.5, 0.0)
 
 
 def test_euler_phi_truncation_caps_the_work():

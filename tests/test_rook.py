@@ -11,9 +11,7 @@ from jepq.rook import (
     extended_distribution,
     extended_ground,
     extended_kernel_row,
-    extended_weight,
     extensions,
-    is_board_cell,
     path_to_ground,
     row_projection,
     validate_config,
@@ -36,12 +34,21 @@ def classical_stirling(a, b):
     return row[b]
 
 
+def on_board(m, r, c):
+    """Whether one rook at (r, c) is a placement on the board of height m."""
+    try:
+        validate_config(m, ((r, c),))
+    except ValueError:
+        return False
+    return True
+
+
 def test_board_geometry():
     for m in range(7):
-        cells = [(r, c) for r in range(m + 1) for c in range(m + 1) if is_board_cell(m, r, c)]
+        cells = [(r, c) for r in range(m + 1) for c in range(m + 1) if on_board(m, r, c)]
         assert len(cells) == m * (m + 1) // 2
-        assert not is_board_cell(m, 0, m)
-        assert not is_board_cell(m, -1, 0)
+        assert not on_board(m, 0, m)
+        assert not on_board(m, -1, 0)
 
 
 def test_validate_config():
@@ -190,7 +197,7 @@ def test_extended_kernel_projects_to_base_kernel(q):
 
 def test_extended_weight_anchor():
     q = F(1, 2)
-    weights = {c: extended_weight(2, c, q) for c in enumerate_configs(2, 1)}
+    weights = {c: q ** -circ(2, c) for c in enumerate_configs(2, 1)}
     assert sorted(weights.values()) == [1, 1, 2]
     assert gould_stirling(3, 2, 1 / q) == 4
     probs = extended_distribution(2, 1, q)

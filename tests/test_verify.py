@@ -28,7 +28,7 @@ def _raise_top_circ(histogram):
 
 # check name -> (name in jepq.verify, perturbation of its result given its arguments)
 INJECTIONS = {
-    "scalar-identities": ("euler_phi", lambda phi, q, eps: phi + 1e-3),
+    "scalar-identities": ("euler_phi", lambda phi, q: phi + 1e-3),
     "stationary-vs-solver": (
         "stationary_distribution",
         lambda law, model: _bump_first(law) if model.q == 1 else law,

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .qcomb import Scalar, parse_scalar
@@ -91,29 +91,28 @@ def _scalar_cell(value: Scalar) -> str:
     return repr(value) if isinstance(value, float) else _exact_str(value)
 
 
-def _write(text: str, args) -> None:
-    if args.out:
-        try:
-            with open(args.out, "w") as handle:
-                handle.write(text)
-        except OSError as err:
-            raise ValueError(f"cannot write {args.out}: {err.strerror}") from None
-    else:
-        sys.stdout.write(text)
+@contextmanager
+def _destination(args):
+    """The handle a report is streamed into: the --out file, or stdout."""
+    if not args.out:
+        yield sys.stdout
+        return
+    try:
+        with open(args.out, "w") as handle:
+            yield handle
+    except OSError as err:
+        raise ValueError(f"cannot write {args.out}: {err.strerror}") from None
 
 
-def _emit(report: dict, rows: list[dict], columns: list[str], args, rows_key: str = "rows") -> None:
-    """Write the report as JSON (report plus rows) or CSV (rows only)."""
-    if args.format == "json":
-        text = json.dumps({**report, rows_key: rows}, indent=2, default=str) + "\n"
-    else:
-        buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=columns, extrasaction="ignore")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-        text = buffer.getvalue()
-    _write(text, args)
+def _emit(report: dict, columns: tuple, rows: list[tuple], args, rows_key: str = "rows") -> None:
+    """Write the report as JSON (report plus rows) or CSV (rows only); rows are in column order."""
+    with _destination(args) as handle:
+        if args.format == "json":
+            rows_out = [dict(zip(columns, row)) for row in rows]
+            json.dump({**report, rows_key: rows_out}, handle, indent=2)
+            handle.write("\n")
+        else:
+            csv.writer(handle).writerows([columns, *rows])
 
 
 def _build_model(args) -> BoundedGeometric | UnboundedGeometric:
@@ -134,14 +133,7 @@ def _cmd_stationary(args) -> int:
     rows = []
     for state, weight in stationary_weights(model).items():
         prob = weight / z
-        rows.append(
-            {
-                "state": _state_key(state),
-                "weight": _scalar_cell(weight),
-                "prob": _scalar_cell(prob),
-                "prob_float": float(prob),
-            }
-        )
+        rows.append((_state_key(state), _scalar_cell(weight), _scalar_cell(prob), float(prob)))
     summary: dict = {"m": args.m, "n": args.n, "model": args.model}
     if model.n:
         stats = closed_form_stats(model.m, model.n, model.q)
@@ -153,7 +145,7 @@ def _cmd_stationary(args) -> int:
             throw_fraction=_scalar_fields(stats.throw_fraction),
             throw_fraction_uncorrected=_scalar_fields(stats.throw_fraction_uncorrected),
         )
-    _emit({"summary": summary}, rows, ["state", "weight", "prob", "prob_float"], args)
+    _emit({"summary": summary}, ("state", "weight", "prob", "prob_float"), rows, args)
     return 0
 
 
@@ -164,13 +156,12 @@ def _cmd_verify(args) -> int:
         check_state_cap(args.max_m, n, args.state_cap, placements=True)
     results = run_checks(max_m=args.max_m, qs=qs)
     if args.format == "text":
-        _write(
-            "".join(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}\n" for r in results),
-            args,
-        )
+        with _destination(args) as handle:
+            for r in results:
+                handle.write(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}\n")
     else:
-        rows = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
-        _emit({"max_m": args.max_m}, rows, ["name", "passed", "detail"], args, rows_key="checks")
+        rows = [(r.name, r.passed, r.detail) for r in results]
+        _emit({"max_m": args.max_m}, ("name", "passed", "detail"), rows, args, rows_key="checks")
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -207,11 +198,8 @@ def _cmd_simulate(args) -> int:
     if isinstance(model, BoundedGeometric) and model.n:
         stats = closed_form_stats(model.m, model.n, model.q)
         summary["throw_fraction_exact"] = float(stats.throw_fraction)
-    rows = [
-        {"state": _state_key(s), "frequency": f}
-        for s, f in sorted(empirical.items())
-    ]
-    _emit({"summary": summary}, rows, ["state", "frequency"], args)
+    rows = [(_state_key(s), f) for s, f in sorted(empirical.items())]
+    _emit({"summary": summary}, ("state", "frequency"), rows, args)
     return 0
 
 
@@ -220,19 +208,12 @@ def _cmd_converge(args) -> int:
     rows = []
     for m in range(max(lo, args.n), hi + 1):
         row = tv_to_unbounded(m, args.n, args.q_value, state_cap=args.state_cap)
-        rows.append(
-            {
-                "m": m,
-                "n": args.n,
-                "q": _scalar_cell(args.q_value),
-                "tv": _scalar_cell(row.tv),
-                "tv_float": float(row.tv),
-                "bound_exact": float(row.bound_exact),
-                "bound_simple": float(row.bound_simple),
-            }
-        )
+        rows.append((
+            m, args.n, _scalar_cell(args.q_value), _scalar_cell(row.tv), float(row.tv),
+            float(row.bound_exact), float(row.bound_simple),
+        ))
     report = {"summary": {"n": args.n, "q": _scalar_fields(args.q_value)}}
-    _emit(report, rows, ["m", "n", "q", "tv", "tv_float", "bound_exact", "bound_simple"], args)
+    _emit(report, ("m", "n", "q", "tv", "tv_float", "bound_exact", "bound_simple"), rows, args)
     return 0
 
 
@@ -251,16 +232,10 @@ def _cmd_limits(args) -> int:
             raise ValueError(
                 f"uncorrected value at m={row.m}, n={row.n} exceeds the float range"
             )
-        out.append(
-            {
-                "m": row.m,
-                "n": row.n,
-                "value": _scalar_cell(shown),
-                "value_float": float(shown),
-                "target": float(row.target),
-                "abs_error": abs(float(shown) - float(row.target)),
-            }
-        )
+        out.append((
+            row.m, row.n, _scalar_cell(shown), float(shown), float(row.target),
+            abs(float(shown) - float(row.target)),
+        ))
     report = {
         "summary": {
             "mode": mode,
@@ -268,18 +243,15 @@ def _cmd_limits(args) -> int:
             "q": _scalar_fields(args.q_value),
         }
     }
-    _emit(report, out, ["m", "n", "value", "value_float", "target", "abs_error"], args)
+    _emit(report, ("m", "n", "value", "value_float", "target", "abs_error"), out, args)
     return 0
 
 
 def _cmd_rook(args) -> int:
     check_state_cap(args.m, args.n, args.state_cap, placements=True)
     histogram = circ_histogram(args.m, args.n)
-    total = sum(
-        count * args.q_value**value for value, count in histogram.items()
-    )
+    total = sum(count * args.q_value**value for value, count in histogram.items())
     gould = gould_stirling(args.m + 1, args.m - args.n + 1, args.q_value)
-    rows = [{"circ": value, "count": count} for value, count in histogram.items()]
     report = {
         "summary": {
             "m": args.m,
@@ -291,7 +263,7 @@ def _cmd_rook(args) -> int:
             "match": total == gould,
         }
     }
-    _emit(report, rows, ["circ", "count"], args)
+    _emit(report, ("circ", "count"), list(histogram.items()), args)
     return 0
 
 
@@ -378,7 +350,14 @@ def main(argv=None) -> int:
             parser.error(f"q={args.q!r} exceeds the float range")
     try:
         args.state_cap = _state_cap()
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # so a closed stdout is caught below, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early, as `| head` does. Point stdout at
+        # devnull so that the interpreter's own flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except ValueError as err:
         print(f"jepq: error: {err}", file=sys.stderr)
         return 2

@@ -226,7 +226,6 @@ class LimitRow:
     value: Scalar
     value_uncorrected: Scalar
     target: Scalar
-    error: Scalar
 
 
 def _ground_row(m: int, n: int, q: Scalar, target: Scalar) -> LimitRow:
@@ -239,7 +238,6 @@ def _ground_row(m: int, n: int, q: Scalar, target: Scalar) -> LimitRow:
         value=value,
         value_uncorrected=uncorrected,
         target=target,
-        error=abs(value - target),
     )
 
 

@@ -151,7 +151,7 @@ def test_criterion_09_limit_formulas_float_mode():
         rows = limit_rows_fixed_n(n, 0.5, range(n, 41))
         for row in rows:
             bound = row.m * 0.5 ** (row.m - row.n + 1)
-            assert row.error <= bound + 1e-8, (row.m, n)
+            assert abs(row.value - row.target) <= bound + 1e-8, (row.m, n)
     # with m = 2n the ground probability approaches the Euler product
     rows = limit_rows_growing_n(0.5, range(1, 26))
     phi = euler_phi(0.5)

@@ -1,11 +1,15 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from fractions import Fraction as F
 
 import pytest
 
+import jepq
 from jepq.cli import main
 
 
@@ -158,6 +162,91 @@ def test_simulate_output_pinned(argv, digest):
     code, out = run_cli(["simulate", *argv, "--seed", "5"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "line, digest",
+    [
+        (
+            "converge --n 3 --q 1/2 --m-range 3:15 --exact",
+            "03b12d3ecbd78e05c0c0ab3ab1143253e462efc4a79498131960399887332fe6",
+        ),
+        (
+            "converge --n 4 --q 1/2 --m-range 4:20 --format csv",
+            "49c6179cdf99480d68b9f11c859c2944cec5176686b5269657e61f6c05085b3f",
+        ),
+        # an empty range prints the header only
+        (
+            "converge --n 5 --q 1/2 --m-range 1:3 --format csv",
+            "221c3ba06f74f9ed4a818a1d5db441f5543388827e1e931a76cfbe212dd93783",
+        ),
+        (
+            "limits --q 1/2 --m-range 1:20",
+            "1ce1d1d07702a274e4afb448ee5ba05b24fc6e1ce020fe1a483779dc14ff7809",
+        ),
+        (
+            "limits --n 2 --q 1/2 --m-range 2:10 --paper-literal --format csv",
+            "8d4a5877f0471b1dff379726914b2f5562c61938eb15f6f41914c4d42dc544c1",
+        ),
+        (
+            "rook --m 6 --n 3 --q 1/2",
+            "8c2f41afedc8fa499929c55bdba90e2ba2367c88042192648aabf4ef5847d564",
+        ),
+        (
+            "rook --m 6 --n 3 --q 1/2 --format csv",
+            "cd49a22c881f7bc708d667564bbeca3ce178b613f0b3e8b1caa741352ff18162",
+        ),
+        (
+            "verify --max-m 4",
+            "923dc34306376692e487e7f5049277db4d9220125bac6e96f79e7487c32d3cfb",
+        ),
+        (
+            "verify --max-m 4 --format json",
+            "26c9c860f88fc49b9a0b241c60984c5a1420bd6e7c9089441fac1fcbc09b5686",
+        ),
+        (
+            "verify --max-m 4 --format csv",
+            "aad26ce3b7def98315781debeeceac9d35e6c0f0de11fa965e9cec5ecd38fcc9",
+        ),
+    ],
+)
+def test_report_output_pinned(line, digest):
+    # digests of the full report, recorded before the reports were streamed
+    # into their destination: every byte must stay as it was
+    code, out = run_cli(line.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "stationary --m 4 --n 2 --q 1/2 --format json",
+        "rook --m 5 --n 2 --q 1/3 --format csv",
+        "verify --max-m 3 --format text",
+    ],
+)
+def test_out_file_matches_stdout(line, tmp_path):
+    target = tmp_path / "report"
+    code, out = run_cli(line.split())
+    assert code == 0
+    code, nothing = run_cli([*line.split(), "--out", str(target)])
+    assert code == 0
+    assert nothing == ""
+    assert target.read_bytes() == out.encode()
+
+
+def test_closed_stdout_exits_quietly():
+    # the report is far larger than a pipe buffer, so the writer is still
+    # writing when the reader goes away, as with `jepq ... | head -c 20`
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(jepq.__file__))}
+    argv = [sys.executable, "-m", "jepq.cli", "stationary", "--m", "14", "--n", "7", "--q", "1/2"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(20)) == 20
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_converge_rows_respect_bounds():

@@ -174,11 +174,11 @@ def test_limit_rows_fixed_n():
     rows = limit_rows_fixed_n(1, F(1, 2), range(1, 12))
     for row in rows:
         assert row.value == row.value_uncorrected  # no correction at n = 1
-    assert rows[-1].error < F(1, 500)
+    assert abs(rows[-1].value - rows[-1].target) < F(1, 500)
     assert rows[-1].target == F(1, 2)
     rows2 = limit_rows_fixed_n(2, F(1, 2), range(2, 15))
     assert rows2[0].target == q_pochhammer(2, F(1, 2))
-    assert rows2[-1].error < rows2[0].error
+    assert abs(rows2[-1].value - rows2[-1].target) < abs(rows2[0].value - rows2[0].target)
     with pytest.raises(ValueError):
         limit_rows_fixed_n(3, F(1, 2), [2])
 
@@ -187,7 +187,7 @@ def test_limit_rows_growing_n():
     rows = limit_rows_growing_n(0.5, range(1, 16))
     phi = euler_phi(0.5)
     assert abs(rows[-1].value - phi) < 1e-4
-    assert rows[-1].error < rows[0].error
+    assert abs(rows[-1].value - rows[-1].target) < abs(rows[0].value - rows[0].target)
 
 
 def test_extended_solver_matches_weights_small():

@@ -105,11 +105,13 @@ def _destination(args):
 
 
 def _emit(report: dict, columns: tuple, rows: list[tuple], args, rows_key: str = "rows") -> None:
-    """Write the report as JSON (report plus rows) or CSV (rows only); rows are in column order."""
+    """Write the report as JSON (report plus rows) or CSV (rows only); rows are in column
+    order. JSON turns them into dicts in place, freeing each tuple as its dict is built."""
     with _destination(args) as handle:
         if args.format == "json":
-            rows_out = [dict(zip(columns, row)) for row in rows]
-            json.dump({**report, rows_key: rows_out}, handle, indent=2)
+            for i, row in enumerate(rows):
+                rows[i] = dict(zip(columns, row))
+            json.dump({**report, rows_key: rows}, handle, indent=2)
             handle.write("\n")
         else:
             csv.writer(handle).writerows([columns, *rows])

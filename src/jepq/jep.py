@@ -172,8 +172,12 @@ def step_kernel_row(state: State, model: ThrowModel) -> dict[State, Scalar]:
 
 
 def _q_ints(ell: int, q: Scalar) -> list[Scalar]:
-    """[0]_q, [1]_q, ..., [ell]_q: every vacancy factor a weight can use."""
-    return [q_int(k, q) for k in range(ell + 1)]
+    """[0]_q, [1]_q, ..., [ell]_q, every vacancy factor a weight can use, as running sums."""
+    power, qints = 1 + 0 * q, [0 * q]
+    for _ in range(ell):
+        qints.append(qints[-1] + power)
+        power = power * q
+    return qints
 
 
 def _bounded_weight(state: State, m: int, q: Scalar, qints: list[Scalar]) -> Scalar:

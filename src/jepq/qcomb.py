@@ -9,6 +9,8 @@ needed. Nothing in this module ever rounds a rational input.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 from math import comb, isqrt
 from typing import Union
 
@@ -99,28 +101,35 @@ def euler_phi(q: Scalar) -> Scalar:
     return q_pochhammer(n, q)
 
 
-def _triangle(a: int, q: Scalar, powers) -> list[Scalar]:
-    """Row a of the triangle X[r+1, j] = q^e X[r, j-1] + [j]_q X[r, j] with
-    X[0, 0] = 1 and zero outside 0 <= j <= r.
+_POWERS = {  # q^e for j = 1..r+1 as a slice of qpow = [q^0, ..., q^a]
+    "S": lambda qpow, r: qpow[: r + 1],
+    "G": lambda qpow, r: qpow[:1] * (r + 1),
+    "R": lambda qpow, r: qpow[r::-1],
+}
 
-    ``powers(qpow, r)`` returns the factors q^e for j = 1..r+1, as a slice
-    of qpow = [q^0, ..., q^a]; the exponent e is all each triangle changes.
+
+@lru_cache(maxsize=4, typed=True)
+def _triangle(a: int, q: Scalar, kind: str) -> tuple[Scalar, ...]:
+    """Row a of the triangle X[r+1, j] = q^e X[r, j-1] + [j]_q X[r, j] with
+    X[0, 0] = 1 and zero outside 0 <= j <= r, where e = j-1 for kind "S",
+    0 for "G" and r+1-j for "R". The last few rows are cached, keyed by the
+    type of q as well as its value, so an exact caller never gets a float row.
     """
-    if a < 0:
-        raise ValueError(f"triangle needs a >= 0, got a={a}")
+    if a < 0 or q < 0:
+        raise ValueError(f"triangle needs a >= 0 and q >= 0, got a={a} q={q}")
     zero = 0 * q
-    qints = [q_int(j, q) for j in range(1, a + 1)]
     qpow = [1 + zero]
     for _ in range(a):
         qpow.append(qpow[-1] * q)
+    qints = list(accumulate(qpow[:a]))  # [1]_q, ..., [a]_q
     row = [1 + zero]
     for r in range(a):
         right = row[1:] + [zero]
         row = [zero] + [
             power * left + qint * below
-            for power, left, qint, below in zip(powers(qpow, r), row, qints, right)
+            for power, left, qint, below in zip(_POWERS[kind](qpow, r), row, qints, right)
         ]
-    return row
+    return tuple(row)
 
 
 def q_stirling(a: int, b: int, q: Scalar) -> Scalar:
@@ -132,7 +141,7 @@ def q_stirling(a: int, b: int, q: Scalar) -> Scalar:
     evaluates it at base 1/q).
     Out-of-range b returns 0 rather than raising.
     """
-    row = _triangle(a, q, lambda qpow, r: qpow[: r + 1])
+    row = _triangle(a, q, "S")
     return row[b] if 0 <= b <= a else 0 * q
 
 
@@ -144,7 +153,7 @@ def gould_stirling(a: int, b: int, q: Scalar) -> Scalar:
     to the classical Stirling numbers of the second kind; in general
     S[a, b] = q^binom(b,2) * G[a, b].
     """
-    row = _triangle(a, q, lambda qpow, r: qpow[:1] * (r + 1))
+    row = _triangle(a, q, "G")
     return row[b] if 0 <= b <= a else 0 * q
 
 
@@ -161,7 +170,7 @@ def scaled_partition_z(m: int, n: int, q: Scalar) -> Scalar:
         raise ValueError(f"need 0 <= n <= m, got m={m} n={n}")
     if not 0 < q <= 1:
         raise ValueError(f"need 0 < q <= 1, got q={q}")
-    return _triangle(m + 1, q, lambda qpow, r: qpow[r::-1])[m - n + 1]
+    return _triangle(m + 1, q, "R")[m - n + 1]
 
 
 def partition_z(m: int, n: int, q: Scalar) -> Scalar:

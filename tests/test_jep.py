@@ -156,6 +156,15 @@ def test_stationary_weights_match_per_state(q):
         stationary_weights(UnboundedGeometric(2, F(1, 2)))
 
 
+@pytest.mark.parametrize("q", (F(1, 3), F(1, 2), F(1), F(3, 2), 0.3, 1))
+def test_q_int_table_matches_q_int(q):
+    for ell in range(1, 11):
+        table = jep._q_ints(ell, q)
+        reference = [q_int(k, q) for k in range(ell + 1)]
+        assert table == reference
+        assert [type(v) for v in table] == [type(v) for v in reference]
+
+
 def test_stationary_prob_anchors():
     q = F(1, 2)
     assert stationary_prob((0,), BoundedGeometric(2, 1, q)) == F(3, 4)

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from jepq.qcomb import (
+    _triangle,
     binom2,
     euler_phi,
     euler_phi_truncation,
@@ -12,6 +13,7 @@ from jepq.qcomb import (
     q_int,
     q_pochhammer,
     q_stirling,
+    scaled_partition_z,
 )
 
 QS = (F(1, 3), F(1, 2), F(2, 3))
@@ -161,3 +163,64 @@ def test_partition_rejects_bad_params():
         partition_z(2, 3, F(1, 2))
     with pytest.raises(ValueError):
         partition_z(3, 1, F(3, 2))
+
+
+# the exponent e of X[r+1, j] = q^e X[r, j-1] + [j]_q X[r, j] in each triangle
+EXPONENTS = {"S": lambda r, j: j - 1, "G": lambda r, j: 0, "R": lambda r, j: r + 1 - j}
+
+
+def reference_row(a, q, kind):
+    """Row a rebuilt entry by entry, each q-integer summed afresh by q_int."""
+    zero = 0 * q
+    qpow = [1 + zero]
+    for _ in range(a):
+        qpow.append(qpow[-1] * q)
+    row = [1 + zero]
+    for r in range(a):
+        row = [zero] + [
+            qpow[EXPONENTS[kind](r, j)] * row[j - 1] + q_int(j, q) * (row[j] if j <= r else zero)
+            for j in range(1, r + 2)
+        ]
+    return row
+
+
+@pytest.mark.parametrize("q", (F(1, 3), F(1, 2), F(1), F(3, 2), 0.3))
+@pytest.mark.parametrize("kind", sorted(EXPONENTS))
+def test_triangle_rows_match_per_entry_reference(q, kind):
+    for a in range(13):
+        row, reference = _triangle(a, q, kind), reference_row(a, q, kind)
+        # exact equality, so float rows agree bit for bit
+        assert list(row) == reference
+        assert [type(v) for v in row] == [type(v) for v in reference]
+
+
+@pytest.mark.parametrize("loose", (0.5, 1))
+@pytest.mark.parametrize("exact_first", (False, True))
+def test_row_cache_returns_the_type_of_q(loose, exact_first):
+    # 0.5 == F(1, 2) and 1 == F(1) hash alike; an untyped cache would serve
+    # whichever row was built first to both
+    exact = F(loose)
+    order = (exact, loose) if exact_first else (loose, exact)
+    _triangle.cache_clear()
+    for fn, a, b in (
+        (q_stirling, 6, 3),
+        (gould_stirling, 6, 3),
+        (scaled_partition_z, 5, 2),
+        (partition_z, 5, 2),
+    ):
+        values = [fn(a, b, q) for q in order]
+        assert values[0] == values[1]
+        assert [type(v) for v in values] == [type(q) for q in order]
+
+
+def test_cached_rows_cannot_be_mutated():
+    q = F(1, 2)
+    for kind in EXPONENTS:
+        row = _triangle(6, q, kind)
+        assert type(row) is tuple
+        with pytest.raises(TypeError):
+            row[1] = F(0)
+    # every public read returns one immutable entry, never the row
+    reads = (q_stirling(6, 3, q), gould_stirling(6, 3, q),
+             scaled_partition_z(5, 2, q), partition_z(5, 2, q))
+    assert all(type(v) is F for v in reads)

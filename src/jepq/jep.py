@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Union
 
@@ -131,9 +132,11 @@ def theta(excluded, x: int) -> int:
     return h
 
 
-def truncated_geometric_pmf(ell: int, q: Scalar) -> list[Scalar]:
+@lru_cache(maxsize=4, typed=True)
+def truncated_geometric_pmf(ell: int, q: Scalar) -> tuple[Scalar, ...]:
     """The geometric law conditioned on {0..ell-1}: pmf(x) = q^x / [ell]_q,
-    which is uniform at q = 1."""
+    which is uniform at q = 1. The last few laws are cached, keyed by the
+    type of q as well as its value, so an exact caller never gets a float law."""
     if ell < 1:
         raise ValueError(f"need ell >= 1, got ell={ell}")
     if not 0 < q <= 1:
@@ -143,7 +146,7 @@ def truncated_geometric_pmf(ell: int, q: Scalar) -> list[Scalar]:
     for _ in range(ell):
         out.append(power)
         power = power * q
-    return out
+    return tuple(out)
 
 
 def _step(state: State, rank: int | None) -> State:

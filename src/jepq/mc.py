@@ -10,8 +10,10 @@ replica index into the seed rather than by sharing state.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 
 from .qcomb import Scalar
@@ -28,6 +30,8 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 # a run draws uniforms in blocks of at most this many, never past what it can use
 _MAX_BLOCK = 512
+# the step to each lane's low word among a block's native-order 64-bit words, lane 0 first
+_LOW = 2 if sys.byteorder == "little" else -2
 
 __all__ = [
     "RngStream",
@@ -39,15 +43,28 @@ __all__ = [
 ]
 
 
-def _mix64(z: int) -> int:
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
-    return z ^ (z >> 31)
+def _mix64(z: int, lanes: int = _MASK64) -> int:
+    """SplitMix64's finalizer on each 64-bit word of z that ``lanes`` masks; a word in a 128-bit
+    lane times a 64-bit constant never carries over, and the masks drop what a shift brings in."""
+    z = ((z ^ z >> 30) & lanes) * 0xBF58476D1CE4E5B9 & lanes
+    z = ((z ^ z >> 27) & lanes) * 0x94D049BB133111EB & lanes
+    return z ^ z >> 31
+
+
+@lru_cache(maxsize=None)
+def _block_constants() -> tuple[int, int, int]:
+    """1, 2^64 - 1 and (i+1) * GAMMA in lane i of a full block."""
+    ones = int.from_bytes((b"\1" + bytes(15)) * _MAX_BLOCK, "little")
+    gammas = b"".join((i * _GAMMA).to_bytes(16, "little") for i in range(1, _MAX_BLOCK + 1))
+    return ones, ones * _MASK64, int.from_bytes(gammas, "little")
 
 
 class RngStream:
     """Deterministic generator: output i of stream s under seed x is
-    mix64(mix64(x XOR mix64(s * GAMMA)) + i * GAMMA)."""
+    mix64(mix64(x XOR mix64(s * GAMMA)) + i * GAMMA).
+
+    A block of draws is computed at once, in 128-bit lanes of one integer;
+    a draw is still a pure function of (seed, stream, index)."""
 
     def __init__(self, seed: int, stream: int = 0):
         if not 0 <= seed <= _MASK64:
@@ -58,10 +75,19 @@ class RngStream:
 
     def uniforms(self, k: int) -> list[float]:
         """The next k floats in [0, 1), 53 random bits each; the stream advances by k."""
+        if k < 0:
+            raise ValueError(f"need k >= 0, got {k}")
+        ones, words, gammas = _block_constants()
         out, c = [], self._counter
-        for _ in range(k):
-            c = (c + _GAMMA) & _MASK64
-            out.append((_mix64(c) >> 11) * 2.0**-53)
+        for start in range(0, k, _MAX_BLOCK):
+            b = min(k - start, _MAX_BLOCK)  # b draws take the low 128b bits of each constant
+            low = (1 << 128 * b) - 1
+            mask = words & low
+            # past >> 11, lane i's low word is draw i: the next lane's bits land above bit 85
+            z = _mix64((c * (ones & low) + (gammas & low)) & mask, mask) >> 11
+            draws = memoryview(z.to_bytes(16 * b, sys.byteorder)).cast("Q")[::_LOW]
+            out += map((2.0**-53).__mul__, draws)
+            c = (c + b * _GAMMA) & _MASK64
         self._counter = c
         return out
 

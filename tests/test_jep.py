@@ -49,10 +49,13 @@ def test_theta():
 
 
 def test_truncated_geometric_pmf():
-    assert truncated_geometric_pmf(2, F(1, 2)) == [F(2, 3), F(1, 3)]
-    assert truncated_geometric_pmf(1, F(1, 2)) == [1]
+    assert truncated_geometric_pmf(2, F(1, 2)) == (F(2, 3), F(1, 3))
+    # the cached exact law is never handed to an equal float q, nor back
+    assert [type(p) for p in truncated_geometric_pmf(2, 0.5)] == [float, float]
+    assert [type(p) for p in truncated_geometric_pmf(2, F(1, 2))] == [F, F]
+    assert truncated_geometric_pmf(1, F(1, 2)) == (1,)
     for ell in range(1, 11):
-        assert truncated_geometric_pmf(ell, F(1)) == [F(1, ell)] * ell
+        assert truncated_geometric_pmf(ell, F(1)) == (F(1, ell),) * ell
     for ell in range(1, 11):
         for q in QS:
             assert sum(truncated_geometric_pmf(ell, q)) == 1

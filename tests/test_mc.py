@@ -1,6 +1,7 @@
 import hashlib
 import math
 from fractions import Fraction as F
+from itertools import count, islice
 
 import pytest
 
@@ -47,6 +48,72 @@ def test_rng_uniform_range():
     values = rng.uniforms(10_000)
     assert all(0 <= v < 1 for v in values)
     assert abs(sum(values) / len(values) - 0.5) < 0.02
+
+
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def splitmix64(z):
+    """SplitMix64's finalizer on one 64-bit word."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+    return z ^ (z >> 31)
+
+
+def scalar_uniforms(seed, stream):
+    """Outputs i = 1, 2, ... of the `RngStream` docstring formula
+    mix64(mix64(x XOR mix64(s * GAMMA)) + i * GAMMA), one word at a time,
+    each as the float of its top 53 bits."""
+    base = splitmix64(seed ^ splitmix64(stream * GAMMA % 2**64))
+    for i in count(1):
+        yield (splitmix64((base + i * GAMMA) % 2**64) >> 11) / 2**53
+
+
+# a partial block, one exact block and several blocks, either side of the edges
+DRAW_COUNTS = [0, 1, 2, 511, 512, 513, 1025, 5000]
+
+
+@pytest.mark.parametrize("stream", [0, 7, 2**16])
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_uniforms_match_scalar_reference(seed, stream):
+    for k in DRAW_COUNTS:
+        rng, ref = RngStream(seed, stream), scalar_uniforms(seed, stream)
+        assert rng.uniforms(k) == list(islice(ref, k))
+        # the stream stands at draw k: the next draws go on from there
+        assert rng.uniforms(3) == list(islice(ref, 3))
+
+
+@pytest.mark.parametrize(
+    "split", [(300, 300), (511, 1, 513), (1, 512, 0, 1025), (0, 0, 7), (512, 512, 512)]
+)
+def test_split_uniforms_equal_one_call(split):
+    rng = RngStream(2**64 - 1, 7)
+    parts = [rng.uniforms(k) for k in split]
+    assert [len(p) for p in parts] == list(split)
+    joined = [u for p in parts for u in p]
+    assert joined == RngStream(2**64 - 1, 7).uniforms(sum(split))
+    assert joined == list(islice(scalar_uniforms(2**64 - 1, 7), sum(split)))
+
+
+@pytest.mark.parametrize(
+    "seed, stream, digest",
+    [
+        (20140901, 0, "bdf01e24af620ed80e344b16cf911702f141bd041b24a478959f07c26e009ca8"),
+        (2**64 - 1, 12345, "0ff386e1514867443f99719165529ff0185de51e7c2a3291f32e23f4e9dbf97f"),
+    ],
+)
+def test_uniforms_pinned(seed, stream, digest):
+    values = RngStream(seed, stream).uniforms(2000)
+    assert hashlib.sha256(repr(values).encode()).hexdigest() == digest
+
+
+def test_uniforms_reject_negative_count():
+    rng = RngStream(5)
+    with pytest.raises(ValueError):
+        rng.uniforms(-1)
+    assert rng.uniforms(0) == []
+    # neither call moved the stream
+    assert rng.uniforms(4) == RngStream(5).uniforms(4)
 
 
 def test_truncated_geometric_sampler_fits_pmf():

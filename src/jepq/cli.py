@@ -21,15 +21,16 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
-from .qcomb import Scalar, parse_scalar
+from .qcomb import Scalar, gould_stirling, parse_scalar, partition_z
 from .jep import (
     BoundedGeometric,
     BoundedUniform,
     UnboundedGeometric,
+    _numerators,
     _unbounded_probs,
     closed_form_stats,
+    enumerate_states,
     stationary_distribution,
-    stationary_weights,
 )
 from .mc import empirical_distribution, simulate
 from .oracle import (
@@ -40,7 +41,6 @@ from .oracle import (
     total_variation,
     tv_to_unbounded,
 )
-from .qcomb import gould_stirling, partition_z
 from .rook import circ_histogram
 from .verify import DEFAULT_QS, run_checks
 
@@ -132,9 +132,10 @@ def _cmd_stationary(args) -> int:
     model = _build_model(args)
     check_state_cap(model.m, model.n, args.state_cap)
     z = partition_z(model.m, model.n, model.q)
-    rows = []
-    for state, weight in stationary_weights(model).items():
-        prob = weight / z
+    div, scale, stream = _numerators(model.m, model.n, model.q, enumerate_states(model.m, model.n))
+    rows, z_scaled = [], z * scale
+    for state, w in stream:
+        weight, prob = div(w, scale), div(w, z_scaled)
         rows.append((_state_key(state), _scalar_cell(weight), _scalar_cell(prob), float(prob)))
     summary: dict = {"m": args.m, "n": args.n, "model": args.model}
     if model.n:

@@ -53,6 +53,7 @@ class BoundedGeometric:
     def __post_init__(self):
         if not 0 <= self.n <= self.m:
             raise ValueError(f"need 0 <= n <= m, got n={self.n} m={self.m}")
+        object.__setattr__(self, "q", Fraction(self.q) if isinstance(self.q, int) else self.q)
         if not 0 < self.q <= 1:
             raise ValueError(f"need 0 < q <= 1, got q={self.q}")
 
@@ -142,7 +143,7 @@ def truncated_geometric_pmf(ell: int, q: Scalar) -> tuple[Scalar, ...]:
     if not 0 < q <= 1:
         raise ValueError(f"need 0 < q <= 1, got q={q}")
     out = []
-    power = 1 / q_int(ell, q)
+    power = Fraction(1) / q_int(ell, q)  # exact for an int q, 1.0 / [ell]_q for a float
     for _ in range(ell):
         out.append(power)
         power = power * q
@@ -174,23 +175,34 @@ def step_kernel_row(state: State, model: ThrowModel) -> dict[State, Scalar]:
     return {_step(state, rank): p for rank, p in enumerate(pmf)}
 
 
-def _q_ints(ell: int, q: Scalar) -> list[Scalar]:
-    """[0]_q, [1]_q, ..., [ell]_q, every vacancy factor a weight can use, as running sums."""
-    power, qints = 1 + 0 * q, [0 * q]
-    for _ in range(ell):
-        qints.append(qints[-1] + power)
-        power = power * q
-    return qints
+def _numerators(m: int, n: int, q: Scalar, states):
+    """The bounded law over one denominator. With q = a/b in lowest terms,
+    [c]_q = N_c / b^(c-1), where N_0 = 0 and N_(c+1) = b N_c + a^c, so the weight
+    of x_1 < ... < x_n is W / b^E with W = prod_k N_(m-n-x_k+k) * a^(x_1+...+x_n)
+    and E = n(m-n) + binom(n,2). Returns the division to apply (for an exact q, one
+    reduction by an integer, which may be held as a Fraction as Z b^E is), b^E and
+    a stream of (state, W). A float q takes a = q and b = 1: the product's float steps."""
+    exact = not isinstance(q, float)
+    a, b = (q.numerator, q.denominator) if exact else (q, 1)
+    nums, power = [0 * a], 1 + 0 * a
+    for _ in range(m - n + 1):
+        nums.append(b * nums[-1] + power)
+        power = power * a
+    def stream():
+        for state in states:
+            w = 1 + 0 * a
+            for k, x in enumerate(state, start=1):
+                w = w * nums[m - n - x + k]
+            yield state, w * a ** sum(state)
+    div = (lambda w, d: Fraction(w * d.denominator, d.numerator)) if exact else float.__truediv__
+    return div, b ** (n * (m - n) + binom2(n)), stream()
 
 
-def _bounded_weight(state: State, m: int, q: Scalar, qints: list[Scalar]) -> Scalar:
-    """The vacancy factors [1 + v(x)] in particle order, then q^(sum of
-    heights). For the k-th particle (1-based) at x, 1 + v(x) = m - n - x + k,
-    so every factor is an entry of ``qints = _q_ints(m - n + 1, q)``."""
-    weight, n = 1 + 0 * q, len(state)
-    for k, x in enumerate(state, start=1):
-        weight = weight * qints[m - n - x + k]
-    return weight * q ** sum(state)
+def _bounded_law(model: BoundedGeometric, states, normalized: bool = False) -> dict[State, Scalar]:
+    """The weights of the given states, in their order; divided by Z when ``normalized``."""
+    div, scale, numerators = _numerators(model.m, model.n, model.q, states)
+    den = partition_z(model.m, model.n, model.q) * scale if normalized else scale
+    return {state: div(w, den) for state, w in numerators}
 
 
 def stationary_weight(state: State, model: ThrowModel) -> Scalar:
@@ -204,20 +216,15 @@ def stationary_weight(state: State, model: ThrowModel) -> Scalar:
     validate_state(state, model)
     if isinstance(model, UnboundedGeometric):
         return model.q ** sum(state)
-    return _bounded_weight(state, model.m, model.q, _q_ints(model.ell, model.q))
+    return _bounded_law(model, [state])[state]
 
 
 def stationary_weights(model: ThrowModel) -> dict[State, Scalar]:
     """Unnormalized stationary weights of every state of a bounded model, in
-    `enumerate_states` order; each equals `stationary_weight` of its state.
-    One table of q-integers serves all states."""
+    `enumerate_states` order; each equals `stationary_weight` of its state."""
     if isinstance(model, UnboundedGeometric):
         raise ValueError("unbounded law has infinite support; use stationary_weight")
-    qints = _q_ints(model.ell, model.q)
-    return {
-        state: _bounded_weight(state, model.m, model.q, qints)
-        for state in enumerate_states(model.m, model.n)
-    }
+    return _bounded_law(model, enumerate_states(model.m, model.n))
 
 
 def _unbounded_probs(model: UnboundedGeometric, states) -> dict[State, Scalar]:
@@ -233,34 +240,28 @@ def _unbounded_probs(model: UnboundedGeometric, states) -> dict[State, Scalar]:
 
 def stationary_prob(state: State, model: ThrowModel) -> Scalar:
     """Stationary probability of a state under the model's closed form."""
-    if isinstance(model, BoundedGeometric):
-        return stationary_weight(state, model) / partition_z(model.m, model.n, model.q)
     validate_state(state, model)
-    return _unbounded_probs(model, [state])[state]
+    if isinstance(model, UnboundedGeometric):
+        return _unbounded_probs(model, [state])[state]
+    return _bounded_law(model, [state], normalized=True)[state]
 
 
 def stationary_distribution(model: ThrowModel) -> dict[State, Scalar]:
     """The full closed-form stationary law of a bounded model."""
     if isinstance(model, UnboundedGeometric):
         raise ValueError("unbounded law has infinite support; use stationary_prob")
-    weights = stationary_weights(model)
-    z = partition_z(model.m, model.n, model.q)
-    return {state: weight / z for state, weight in weights.items()}
+    return _bounded_law(model, enumerate_states(model.m, model.n), normalized=True)
 
 
 def closed_form_stats(m: int, n: int, q: Scalar) -> SteadyStats:
     """Ground-state, top-state, and throw-fraction statistics of the
-    bounded geometric chain in steady state."""
+    bounded geometric chain in steady state; an int q gives Fractions."""
     if not 1 <= n <= m:
         raise ValueError(f"need 1 <= n <= m, got m={m} n={n}")
+    q = Fraction(q) if isinstance(q, int) else q
     z = partition_z(m, n, q)
     ell = m - n + 1
     ground = q_int(ell, q) ** n * q ** binom2(n) / z
     top = q ** (n * m - binom2(n + 1)) / z
     uncorrected = q_int(ell, q) * partition_z(m - 1, n - 1, q) / z
-    return SteadyStats(
-        ground=ground,
-        top=top,
-        throw_fraction=q ** (n - 1) * uncorrected,
-        throw_fraction_uncorrected=uncorrected,
-    )
+    return SteadyStats(ground, top, q ** (n - 1) * uncorrected, uncorrected)

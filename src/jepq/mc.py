@@ -69,8 +69,6 @@ class RngStream:
     def __init__(self, seed: int, stream: int = 0):
         if not 0 <= seed <= _MASK64:
             raise ValueError(f"seed must fit in 64 bits, got {seed}")
-        self.seed = seed
-        self.stream = stream
         self._counter = _mix64(seed ^ _mix64(stream * _GAMMA & _MASK64))
 
     def uniforms(self, k: int) -> list[float]:

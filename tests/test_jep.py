@@ -1,4 +1,6 @@
+from dataclasses import astuple
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -19,7 +21,7 @@ from jepq.jep import (
     truncated_geometric_pmf,
     validate_state,
 )
-from jepq.oracle import build_transition_matrix
+from jepq.oracle import build_transition_matrix, solve_stationary
 from jepq.qcomb import binom2, partition_z, q_int, q_pochhammer
 
 QS = (F(1, 3), F(1, 2), F(2, 3))
@@ -161,11 +163,100 @@ def test_stationary_weights_match_per_state(q):
 
 @pytest.mark.parametrize("q", (F(1, 3), F(1, 2), F(1), F(3, 2), 0.3, 1))
 def test_q_int_table_matches_q_int(q):
+    # the one state (0,) of (ell, 1) has weight [ell]_q = N_ell / b^(ell-1)
+    exact = not isinstance(q, float)
+    b = q.denominator if exact else 1
     for ell in range(1, 11):
-        table = jep._q_ints(ell, q)
-        reference = [q_int(k, q) for k in range(ell + 1)]
-        assert table == reference
-        assert [type(v) for v in table] == [type(v) for v in reference]
+        _, scale, stream = jep._numerators(ell, 1, q, [(0,)])
+        [(state, numerator)] = stream
+        assert state == (0,) and scale == b ** (ell - 1)
+        assert numerator == q_int(ell, q) * b ** (ell - 1)
+        assert type(numerator) is (int if exact else float)
+
+
+def local_weight(state, m, q):
+    """prod_k [m-n-x_k+k]_q * q^(sum of heights), each q-integer summed afresh."""
+    weight = F(1)
+    for k, x in enumerate(state, start=1):
+        weight *= sum(q**j for j in range(m - len(state) - x + k))
+    return weight * q ** sum(state)
+
+
+@pytest.mark.parametrize("q", (F(1, 3), F(1, 2), F(2, 3), F(3, 7), F(1)))
+def test_exact_law_matches_per_state_fraction_product(q):
+    for m in range(10):
+        for n in range(m + 1):
+            model, states = BoundedGeometric(m, n, q), list(combinations(range(m), n))
+            z = partition_z(m, n, q)
+            ref_weights = {s: local_weight(s, m, q) for s in states}
+            ref_law = {s: w / z for s, w in ref_weights.items()}
+            for got, ref in ((stationary_weights(model), ref_weights),
+                             (stationary_distribution(model), ref_law)):
+                assert list(got) == states and got == ref
+                assert all(type(v) is F for v in got.values())
+            for s in states:
+                weight, prob = stationary_weight(s, model), stationary_prob(s, model)
+                assert (weight, prob) == (ref_weights[s], ref_law[s])
+                assert type(weight) is type(prob) is F
+            # integer numerators over b^E that add up to Z b^E
+            _, scale, stream = jep._numerators(m, n, q, states)
+            assert scale == q.denominator ** (n * (m - n) + binom2(n))
+            numerators = dict(stream)
+            assert list(numerators) == states
+            assert all(type(w) is int and w == ref_weights[s] * scale for s, w in numerators.items())
+            assert sum(numerators.values()) == z * scale
+
+
+def local_float_law(m, n, q):
+    """The float weights and law, in the order of operations of the per-state
+    product: running-sum q-integers, the factors in particle order, then
+    q^(sum of heights), then one division by Z."""
+    qints, power = [0.0], 1.0
+    for _ in range(m - n + 1):
+        qints.append(qints[-1] + power)
+        power = power * q
+    weights = {}
+    for state in combinations(range(m), n):
+        weight = 1.0
+        for k, x in enumerate(state, start=1):
+            weight = weight * qints[m - n - x + k]
+        weights[state] = weight * q ** sum(state)
+    z = partition_z(m, n, q)
+    return weights, {s: w / z for s, w in weights.items()}
+
+
+@pytest.mark.parametrize("q", (0.3, 0.5, 0.9))
+def test_float_law_is_bit_identical_to_per_state_product(q):
+    def bits(law):
+        return [(s, p.hex()) for s, p in law.items()]  # only a float has .hex()
+
+    for m in range(10):
+        for n in range(m + 1):
+            model = BoundedGeometric(m, n, q)
+            ref_weights, ref_law = local_float_law(m, n, q)
+            assert bits(stationary_weights(model)) == bits(ref_weights)
+            assert bits(stationary_distribution(model)) == bits(ref_law)
+            for s in ref_weights:
+                assert stationary_weight(s, model).hex() == ref_weights[s].hex()
+                assert stationary_prob(s, model).hex() == ref_law[s].hex()
+
+
+def test_int_q_is_exact():
+    spellings = (BoundedGeometric(4, 2, 1), BoundedGeometric(4, 2, F(1)), BoundedUniform(4, 2))
+    assert all(type(model.q) is F for model in spellings)
+    laws = [stationary_distribution(model) for model in spellings]
+    weights = [stationary_weights(model) for model in spellings]
+    for got in (laws, weights):
+        assert got[0] == got[1] == got[2]
+        assert [list(map(type, g.values())) for g in got] == [[F] * 6] * 3
+    assert laws[0][(0, 1)] == F(9, 25)
+    solved = solve_stationary(build_transition_matrix(spellings[0]))
+    assert solved == laws[0] and all(type(p) is F for p in solved.values())
+    stats = closed_form_stats(4, 2, 1)
+    assert stats == closed_form_stats(4, 2, F(1))
+    assert [type(v) for v in astuple(stats)] == [F] * 4
+    assert truncated_geometric_pmf(3, 1) == (F(1, 3),) * 3
+    assert [type(p) for p in truncated_geometric_pmf(3, 1)] == [F] * 3
 
 
 def test_stationary_prob_anchors():

@@ -199,10 +199,11 @@ def reference_rank(u, q, ell=None):
 
 
 def reference_uniforms(seed):
-    """The run's uniforms, read one at a time."""
+    """The run's uniforms, read from the stream in blocks (the split tests
+    pin a block's draws to the same draws read one at a time)."""
     rng = RngStream(seed)
     while True:
-        yield rng.uniforms(1)[0]
+        yield from rng.uniforms(512)
 
 
 def reference_pair(us, ell, q):

@@ -19,7 +19,6 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 
 from .qcomb import Scalar, gould_stirling, parse_scalar, partition_z
 from .jep import (
@@ -65,8 +64,7 @@ def _state_key(state) -> str:
 
 
 def _exact_str(value: Scalar) -> str:
-    """The "p/r" string of an exact value."""
-    value = Fraction(value)
+    """The "p/r" string of an exact value, a `Fraction` or an int."""
     try:
         return str(value)
     except ValueError:  # beyond Python's limit on int-to-decimal conversion

@@ -1,8 +1,12 @@
 """Identity suites: every closed form checked against brute force.
 
-Each check is exact (all arithmetic over rationals) and self-contained, so
-a single failure pinpoints the identity that broke. The CLI `verify`
-subcommand runs everything and reports one line per check.
+Each check is exact and self-contained, so a single failure pinpoints the
+identity that broke. An equality cleared of its denominators is one of integer
+polynomials L, R in q or 1/q. If L - R has coefficients below t in absolute
+value, L = R at q = t or 1/t only if L = R for every q (t = 1 + L(1) + R(1) will
+do for nonnegative L, R), so each check states its t and evaluates once there.
+Only `stationary-vs-solver`, `tv-bounds` and the Euler-product inequalities
+sample q. The CLI `verify` subcommand runs them all, one line per check.
 """
 
 from __future__ import annotations
@@ -13,22 +17,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .qcomb import (
-    binom2,
-    euler_phi,
-    gould_stirling,
-    partition_z,
-    q_int,
-    q_pochhammer,
-    q_stirling,
-)
+from .qcomb import binom2, euler_phi, gould_stirling, partition_z, q_int, q_pochhammer, q_stirling
 from .jep import (
     BoundedGeometric,
     _step,
+    _unbounded_probs,
     closed_form_stats,
     enumerate_states,
     stationary_distribution,
-    stationary_prob,
     stationary_weights,
     UnboundedGeometric,
 )
@@ -62,35 +58,29 @@ class CheckResult:
 
 
 def _classical_stirling(a: int, b: int) -> int:
-    if b < 0 or b > a:
-        return 0
-    row = [1]
-    for r in range(a):
-        row = [
-            (row[j - 1] if j >= 1 else 0) + (j * row[j] if j <= r else 0)
-            for j in range(r + 2)
-        ]
-    return row[b]
+    """S(a, b), 0 <= b, by inclusion-exclusion over maps onto b labelled blocks."""
+    return sum((-1) ** (b - j) * math.comb(b, j) * j**a for j in range(b + 1)) // math.factorial(b)
 
 
 def _check_scalar_identities(max_m: int, qs) -> CheckResult:
     name = "scalar-identities"
-    for q in (*qs, Fraction(3, 2), Fraction(2)):
-        for k in range(1, 21):
-            if q_int(k, q) != q ** (k - 1) * q_int(k, 1 / q):
-                return CheckResult(name, False, f"[{k}] reciprocal identity at q={q}")
-            if q != 1 and q_int(k, q) * (1 - q) != 1 - q**k:
-                return CheckResult(name, False, f"[{k}] ratio identity at q={q}")
-        for a in range(11):
-            for b in range(a + 1):
-                if q_stirling(a, b, q) != q ** binom2(b) * gould_stirling(a, b, q):
-                    return CheckResult(name, False, f"triangle relation at ({a},{b},{q})")
+    for k in range(1, 21):
+        # either difference has absolute coefficients summing to at most 2[k](1) + 2 < t
+        q = Fraction(1, 3 + 2 * q_int(k, 1))
+        if q_int(k, q) != q ** (k - 1) * q_int(k, 1 / q):
+            return CheckResult(name, False, f"[{k}] reciprocal identity at q={q}")
+        if q_int(k, q) * (1 - q) != 1 - q**k:
+            return CheckResult(name, False, f"[{k}] ratio identity at q={q}")
     for a in range(11):
         for b in range(a + 1):
-            if q_stirling(a, b, Fraction(1)) != _classical_stirling(a, b):
+            s, g = q_stirling(a, b, 1), gould_stirling(a, b, 1)
+            if s != _classical_stirling(a, b):
                 return CheckResult(name, False, f"classical limit at ({a},{b})")
-            if gould_stirling(a, b, Fraction(1)) != _classical_stirling(a, b):
+            if g != _classical_stirling(a, b):
                 return CheckResult(name, False, f"classical Gould limit at ({a},{b})")
+            t = 1 + s + g  # both triangles have nonnegative coefficients
+            if q_stirling(a, b, t) != t ** binom2(b) * gould_stirling(a, b, t):
+                return CheckResult(name, False, f"triangle relation at ({a},{b},{t})")
     for q in qs:
         phi = euler_phi(q)
         poch = power = 1 + 0 * q
@@ -122,21 +112,25 @@ def _check_closed_form_vs_solver(max_m: int, qs) -> CheckResult:
 
 def _check_normalization(max_m: int, qs) -> CheckResult:
     name = "normalization"
-    for q in qs:
-        if partition_z(2, 1, q) != 1 + 2 * q:
-            return CheckResult(name, False, f"Z(2,1,{q}) anchor")
-        if partition_z(3, 2, q) != q + 3 * q**2 + 3 * q**3:
-            return CheckResult(name, False, f"Z(3,2,{q}) anchor")
-        for m in range(0, max_m + 1):
-            for n in range(m + 1):
-                z = partition_z(m, n, q)
-                literal = q ** (binom2(m + 1) - n) * q_stirling(m + 1, m - n + 1, 1 / q)
-                if z != literal:
-                    return CheckResult(name, False, f"scaled vs literal Z at ({m},{n},{q})")
-                if n >= 1:
-                    total = sum(stationary_weights(BoundedGeometric(m, n, q)).values())
-                    if total != z:
-                        return CheckResult(name, False, f"weight sum != Z at ({m},{n},{q})")
+    for (m, n), coefficients in {(2, 1): (1, 2), (3, 2): (0, 1, 3, 3)}.items():
+        q = Fraction(1, 1 + partition_z(m, n, 1) + sum(coefficients))  # both sides nonnegative
+        if partition_z(m, n, q) != sum(c * q**i for i, c in enumerate(coefficients)):
+            return CheckResult(name, False, f"Z({m},{n},{q}) anchor")
+    for m in range(0, max_m + 1):
+        # Z, its literal form and the weight sum (at most binom(m, n) ell^n at q = 1) have
+        # nonnegative coefficients, so t exceeds any two of their values at q = 1, for every n
+        t = 1 + max(partition_z(m, n, 1) + q_stirling(m + 1, m - n + 1, 1)
+                    + math.comb(m, n) * (m - n + 1) ** n for n in range(m + 1))
+        q = Fraction(1, t)
+        for n in range(m + 1):
+            z = partition_z(m, n, q)
+            literal = q ** (binom2(m + 1) - n) * q_stirling(m + 1, m - n + 1, t)
+            if z != literal:
+                return CheckResult(name, False, f"scaled vs literal Z at ({m},{n},{q})")
+            if n >= 1:
+                total = sum(stationary_weights(BoundedGeometric(m, n, q)).values())
+                if total != z:
+                    return CheckResult(name, False, f"weight sum != Z at ({m},{n},{q})")
     return CheckResult(name, True, f"weight sums equal the normalizer through m={max_m}")
 
 
@@ -145,19 +139,20 @@ def _check_circ_gould(max_m: int, qs) -> CheckResult:
     for m in range(0, max_m + 1):
         for n in range(m + 1):
             histogram = circ_histogram(m, n)
-            if sum(histogram.values()) != _classical_stirling(m + 1, m + 1 - n):
+            placements = sum(histogram.values())
+            if placements != _classical_stirling(m + 1, m + 1 - n):
                 return CheckResult(name, False, f"config count at (m={m}, n={n})")
-            for q in qs:
-                total = sum(count * q**value for value, count in histogram.items())
-                if total != gould_stirling(m + 1, m - n + 1, q):
-                    return CheckResult(name, False, f"circ sum at (m={m}, n={n}, q={q})")
+            # the histogram is its sum's coefficient list: t = 1 + placements + G(1)
+            t = 1 + placements + gould_stirling(m + 1, m - n + 1, 1)
+            total = sum(count * t**value for value, count in histogram.items())
+            if total != gould_stirling(m + 1, m - n + 1, t):
+                return CheckResult(name, False, f"circ sum at (m={m}, n={n}, q={t})")
     return CheckResult(name, True, f"circ generating sums match the Gould triangle through m={max_m}")
 
 
 def _check_extensions(max_m: int, qs) -> CheckResult:
     name = "extension-sums"
     for m in range(1, max_m + 1):
-        tables = [(q, [q_int(k, 1 / q) for k in range(m + 1)]) for q in qs]
         for n in range(0, m + 1):
             for heights in enumerate_states(m, n):
                 pairs = list(_extensions_with_circ(heights, m))
@@ -168,14 +163,15 @@ def _check_extensions(max_m: int, qs) -> CheckResult:
                     return CheckResult(name, False, f"bad row projection at B={heights}")
                 # vacant heights above each particle: the gaps above it, summed
                 gaps = [above - x - 1 for x, above in zip(heights, heights[1:] + (m,))]
-                vacancies = list(accumulate(reversed(gaps)))
+                lengths = [1 + v for v in accumulate(reversed(gaps))]
+                # in 1/q all three sides are nonnegative: t = 1 + their values at q = 1
+                t = 1 + len(pairs) + math.prod(counts) + math.prod(lengths)
                 histogram = Counter(value for _, value in pairs)
-                for q, table in tables:
-                    total = sum(count * q**-value for value, count in histogram.items())
-                    product = math.prod(table[c] for c in counts)
-                    direct = math.prod(table[1 + v] for v in vacancies)
-                    if total != product or product != direct:
-                        return CheckResult(name, False, f"extension sum at B={heights}, q={q}")
+                total = sum(count * t**value for value, count in histogram.items())
+                product = math.prod(q_int(c, t) for c in counts)
+                direct = math.prod(q_int(c, t) for c in lengths)
+                if total != product or product != direct:
+                    return CheckResult(name, False, f"extension sum at B={heights}, q={Fraction(1, t)}")
     return CheckResult(name, True, f"extension sums match the vacancy products through m={max_m}")
 
 
@@ -184,37 +180,43 @@ def _check_extended_chain(max_m: int, qs) -> CheckResult:
     top = min(max_m, 6)
     for m in range(1, top + 1):
         for n in range(0, m + 1):
-            for config in enumerate_configs(m, n):
+            configs = enumerate_configs(m, n)
+            for config in configs:
                 if path_to_ground(m, config)[-1] != extended_ground(n):
                     return CheckResult(name, False, f"ground unreachable from {config}")
-            for q in qs:
-                tm = build_extended_matrix(m, n, q)
-                mu = extended_distribution(m, n, q)
-                if sum(mu.values()) != 1:
-                    return CheckResult(name, False, f"extended law not normalized at ({m},{n},{q})")
-                if tm.push(mu) != mu:
-                    return CheckResult(name, False, f"extended law not stationary at ({m},{n},{q})")
-                if n >= 1:
-                    marginal: dict = {}
-                    for config, p in mu.items():
-                        key = row_projection(config)
-                        marginal[key] = marginal.get(key, 0) + p
-                    closed = stationary_distribution(BoundedGeometric(m, n, q))
-                    if marginal != closed:
-                        return CheckResult(name, False, f"row projection off at ({m},{n},{q})")
+            # Cleared of G(1/q), [ell]_q and Z(q), the sides below are nonnegative; at q = 1 they
+            # are N, G(1); at most ell N (N rows), ell; at most N Z(1), ell^n G(1) (weights <= ell^n)
+            ell, size = m - n + 1, len(configs)
+            g, z = gould_stirling(m + 1, m - n + 1, 1), partition_z(m, n, 1)
+            q = Fraction(1, 1 + max(size + g, ell * (size + 1), size * z + ell**n * g))
+            tm = build_extended_matrix(m, n, q)
+            mu = extended_distribution(m, n, q)
+            if sum(mu.values()) != 1:
+                return CheckResult(name, False, f"extended law not normalized at ({m},{n},{q})")
+            if tm.push(mu) != mu:
+                return CheckResult(name, False, f"extended law not stationary at ({m},{n},{q})")
+            if n >= 1:
+                marginal = Counter()
+                for config, p in mu.items():
+                    marginal[row_projection(config)] += p
+                closed = stationary_distribution(BoundedGeometric(m, n, q))
+                if marginal != closed:
+                    return CheckResult(name, False, f"row projection off at ({m},{n},{q})")
     return CheckResult(name, True, f"extended law is stationary and projects correctly through m={top}")
 
 
 def _check_throw_fraction(max_m: int, qs) -> CheckResult:
     name = "throw-fraction"
-    for q in qs:
-        for m in range(1, max_m + 1):
-            for n in range(1, m + 1):
-                law = stationary_distribution(BoundedGeometric(m, n, q))
-                direct = sum(p for s, p in law.items() if s[0] == 0)
-                stats = closed_form_stats(m, n, q)
-                if stats.throw_fraction != direct:
-                    return CheckResult(name, False, f"corrected form off at ({m},{n},{q})")
+    for m in range(1, max_m + 1):
+        # Cleared of Z, q^(n-1) [ell] Z(m-1, n-1) and the weights with a ball at 0 are
+        # nonnegative, each at most binom(m-1, n-1) ell^n at q = 1
+        q = Fraction(1, 1 + max(2 * math.comb(m - 1, n - 1) * (m - n + 1) ** n for n in range(1, m + 1)))
+        for n in range(1, m + 1):
+            law = stationary_distribution(BoundedGeometric(m, n, q))
+            direct = sum(p for s, p in law.items() if s[0] == 0)
+            stats = closed_form_stats(m, n, q)
+            if stats.throw_fraction != direct:
+                return CheckResult(name, False, f"corrected form off at ({m},{n},{q})")
     bad = closed_form_stats(3, 2, Fraction(1, 2)).throw_fraction_uncorrected
     if not bad > 1:
         return CheckResult(name, False, f"uncorrected form should exceed 1 at (3,2,1/2), got {bad}")
@@ -228,30 +230,30 @@ def _check_throw_fraction(max_m: int, qs) -> CheckResult:
 
 def _check_balance(max_m: int, qs) -> CheckResult:
     name = "balance-residuals"
-    for q in qs:
-        for m in range(2, max_m + 1):
-            for n in range(1, m + 1):
-                model = BoundedGeometric(m, n, q)
-                law = stationary_distribution(model)
-                if build_transition_matrix(model).push(law) != law:
-                    return CheckResult(name, False, f"bounded law not stationary at ({m},{n},{q})")
-        for n in range(1, 4):
-            # Every predecessor of a state below height 11 lies below height
-            # 12, and a throw landing below 11 has rank at most 10, so this
-            # one-step inflow is exact there.
-            model = UnboundedGeometric(n, q)
-            inflow: dict = {}
-            for state in enumerate_states(12, n):
-                mass = stationary_prob(state, model)
-                if state[0] != 0:
-                    moves = [(_step(state, None), mass)]
-                else:
-                    moves = [(_step(state, r), (1 - q) * q**r * mass) for r in range(11)]
-                for succ, p in moves:
-                    inflow[succ] = inflow.get(succ, 0) + p
-            for state in enumerate_states(11, n):
-                if inflow[state] != stationary_prob(state, model):
-                    return CheckResult(name, False, f"unbounded residual at B={state}, n={n}, q={q}")
+    for m in range(2, max_m + 1):
+        # Cleared of Z and [ell]_q, a state's inflow and mass are nonnegative; at q = 1 they
+        # are at most binom(m, n) ell^(n+1) (weights <= ell^n, pmf numerators <= ell) and ell^(n+1)
+        bound = max((math.comb(m, n) + 1) * (m - n + 1) ** (n + 1) for n in range(1, m + 1))
+        for n in range(1, m + 1):
+            model = BoundedGeometric(m, n, Fraction(1, 1 + bound))
+            law = stationary_distribution(model)
+            if build_transition_matrix(model).push(law) != law:
+                return CheckResult(name, False, f"bounded law not stationary at ({m},{n},{model.q})")
+    for n in range(1, 4):
+        # Every predecessor of a state below height 11 lies below height 12, and a throw
+        # landing below 11 has rank at most 10, so this one-step inflow is exact there. Cleared
+        # of (q;q)_n q^-binom(n,2), inflow - mass has absolute coefficients summing to at most
+        # 2 per move (a q-power times 1 or 1 - q), 11 binom(12, n) moves, plus 1: below t.
+        q = Fraction(1, 2 + 22 * math.comb(12, n))
+        throws = [(1 - q) * q**r for r in range(11)]
+        law = _unbounded_probs(UnboundedGeometric(n, q), enumerate_states(12, n))
+        inflow = Counter()
+        for state, mass in law.items():
+            for rank, p in enumerate(throws) if state[0] == 0 else [(None, 1)]:
+                inflow[_step(state, rank)] += p * mass
+        for state in enumerate_states(11, n):
+            if inflow[state] != law[state]:
+                return CheckResult(name, False, f"unbounded residual at B={state}, n={n}, q={q}")
     return CheckResult(name, True, f"balance holds everywhere through m={max_m} and below height 11")
 
 

@@ -39,8 +39,9 @@ def report(number, text):
 
 @pytest.fixture(scope="module")
 def checks():
-    """The `verify` suites over m <= 8 at q in GRID_QS, by check name, plus
-    their wall time."""
+    """The `verify` suites over m <= 8, by check name, plus their wall time.
+    The solver cross-check and `tv-bounds` run at q in GRID_QS; the
+    equalities hold for every q."""
     start = time.time()
     results = run_checks(max_m=8, qs=GRID_QS)
     elapsed = time.time() - start
@@ -65,7 +66,7 @@ def test_criterion_02_weight_sums_equal_normalizer(checks):
     for q in GRID_QS:
         assert partition_z(2, 1, q) == 1 + 2 * q
         assert partition_z(3, 2, q) == q + 3 * q**2 + 3 * q**3
-    # weight sums against Z for m <= 8, every n, q in GRID_QS
+    # weight sums against Z for m <= 8, every n, every q
     report(2, passed(checks, "normalization"))
 
 

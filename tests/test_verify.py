@@ -46,7 +46,10 @@ INJECTIONS = {
             stats, throw_fraction=stats.throw_fraction + EPS
         ),
     ),
-    "balance-residuals": ("stationary_prob", lambda p, state, model: p + EPS),
+    "balance-residuals": (
+        "_unbounded_probs",
+        lambda probs, model, states: {state: p + EPS for state, p in probs.items()},
+    ),
     "tv-bounds": ("total_variation", lambda tv, mu, nu: tv + EPS),
 }
 
@@ -77,3 +80,36 @@ def test_bounded_balance_can_fail(monkeypatch):
     result = verify._check_balance(3, verify.DEFAULT_QS)
     assert not result.passed
     assert result.detail.startswith("bounded law not stationary at (2,1,")
+
+
+def _vanishing(value, q):
+    """value + EPS (3q - 1)(2q - 1)(3q - 2): unchanged at every q in DEFAULT_QS."""
+    return value + EPS * (3 * q - 1) * (2 * q - 1) * (3 * q - 2)
+
+
+# perturbations that a check sampling q only at DEFAULT_QS cannot see
+VANISHING = {
+    "normalization": ("partition_z", lambda z, m, n, q: _vanishing(z, q)),
+    "throw-fraction": (
+        "closed_form_stats",
+        lambda stats, m, n, q: dataclasses.replace(
+            stats, throw_fraction=_vanishing(stats.throw_fraction, q)
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("check", VANISHING)
+def test_certified_check_catches_what_sampling_misses(check, monkeypatch):
+    attr, perturb = VANISHING[check]
+    original = getattr(verify, attr)
+    perturbed = lambda *args: perturb(original(*args), *args)
+    # a check that compares these values only at DEFAULT_QS, as the sampled
+    # checks did, gets exactly the unperturbed values and passes
+    for q in verify.DEFAULT_QS:
+        for m in range(1, 4):
+            for n in range(1, m + 1):
+                assert perturbed(m, n, q) == original(m, n, q)
+    monkeypatch.setattr(verify, attr, perturbed)
+    results = verify.run_checks(max_m=3)
+    assert [r.name for r in results if not r.passed] == [check]

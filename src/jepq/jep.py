@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Union
 
-from .qcomb import Scalar, binom2, partition_z, q_int, q_pochhammer
+from .qcomb import Scalar, _table, binom2, partition_z, q_int, q_pochhammer
 
 State = tuple[int, ...]
 
@@ -176,24 +176,21 @@ def step_kernel_row(state: State, model: ThrowModel) -> dict[State, Scalar]:
 
 
 def _numerators(m: int, n: int, q: Scalar, states):
-    """The bounded law over one denominator. With q = a/b in lowest terms,
-    [c]_q = N_c / b^(c-1), where N_0 = 0 and N_(c+1) = b N_c + a^c, so the weight
-    of x_1 < ... < x_n is W / b^E with W = prod_k N_(m-n-x_k+k) * a^(x_1+...+x_n)
-    and E = n(m-n) + binom(n,2). Returns the division to apply (for an exact q, one
-    reduction by an integer, which may be held as a Fraction as Z b^E is), b^E and
-    a stream of (state, W). A float q takes a = q and b = 1: the product's float steps."""
-    exact = not isinstance(q, float)
-    a, b = (q.numerator, q.denominator) if exact else (q, 1)
-    nums, power = [0 * a], 1 + 0 * a
-    for _ in range(m - n + 1):
-        nums.append(b * nums[-1] + power)
-        power = power * a
+    """The bounded law over one denominator. With q = a/b in lowest terms, `qcomb`'s
+    table gives [c]_q = N_c / b^(c-1), so the weight of x_1 < ... < x_n is W / b^E
+    with W = prod_k N_(m-n-x_k+k) * a^(x_1+...+x_n) and E = n(m-n) + binom(n,2).
+    Returns the division to apply (for an exact q, one reduction by an integer,
+    which may be held as a Fraction as Z b^E is), b^E and a stream of (state, W).
+    A float q takes a = q and b = 1: the product's float steps."""
+    a, b, table = _table(m - n + 1, q)
+    nums = [num for num, _, _ in table]
     def stream():
         for state in states:
             w = 1 + 0 * a
             for k, x in enumerate(state, start=1):
                 w = w * nums[m - n - x + k]
             yield state, w * a ** sum(state)
+    exact = not isinstance(q, float)
     div = (lambda w, d: Fraction(w * d.denominator, d.numerator)) if exact else float.__truediv__
     return div, b ** (n * (m - n) + binom2(n)), stream()
 

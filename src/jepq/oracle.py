@@ -113,10 +113,6 @@ def solve_stationary(tm: TransitionMatrix) -> dict:
         raise ValueError("empty state space")
     if not tm.is_exact():
         raise ValueError("solve_stationary needs an exact kernel; build it with a rational q")
-    return _solve_exact(tm)
-
-
-def _solve_exact(tm: TransitionMatrix) -> dict:
     n = len(tm)
     # a[i][j] = rows[i][j] / dens[i] in integers; holders[k]: rows i < k holding k
     rows, dens = [], []

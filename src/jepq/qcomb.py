@@ -3,15 +3,17 @@
 Every function here is generic in the scalar type of ``q``: pass a
 `fractions.Fraction` for exact arithmetic (all verification code does) or a
 `float` for fast approximate evaluation at sizes where exact values are not
-needed. Nothing in this module ever rounds a rational input.
+needed. Nothing in this module ever rounds a rational input: q-integers, (q;q)_n
+and the triangles run in integers over powers of q's denominator, from one
+table, and reduce each value once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-from math import comb, isqrt
+from itertools import islice
+from math import comb, isqrt, prod
 from typing import Union
 
 Scalar = Union[int, Fraction, float]
@@ -37,33 +39,47 @@ def parse_scalar(text: str, exact: bool = True) -> Scalar:
     return value if exact else float(value)
 
 
-def q_int(k: int, q: Scalar) -> Scalar:
-    """The q-integer [k]: 1 + q + ... + q^(k-1).
+def _table(c: int, q: Scalar):
+    """The one integer q-layer. With q = a/b in lowest terms (an int or float q is
+    (q, 1), so a float takes the same steps with b = 1), returns a, b and the lazy
+    table of (N_k, a^k, b^k) for k = 0..c, where N_0 = 0 and N_(k+1) = b N_k + a^k,
+    so that [k]_q = N_k / b^(k-1). Lazy, so a long product holds one entry at a time."""
+    a, b = (q, 1) if isinstance(q, float) else (q.numerator, q.denominator)
+    def entries():
+        num, power, bpower = 0 * a, 1 + 0 * a, 1
+        yield num, power, bpower
+        for _ in range(c):
+            num, power, bpower = b * num + power, power * a, bpower * b
+            yield num, power, bpower
+    return a, b, entries()
 
-    Uses the sum form rather than (1-q^k)/(1-q), so q = 1 cleanly gives k.
-    """
+
+def _reduce(q: Scalar, num, den: int) -> Scalar:
+    """num / den, reduced once: a `Fraction` for a `Fraction` q. An int or float q
+    has b = 1, so every den is 1 and the value is num itself."""
+    return num if isinstance(q, (int, float)) else Fraction(num, den)
+
+
+def q_int(k: int, q: Scalar) -> Scalar:
+    """The q-integer [k]: 1 + q + ... + q^(k-1), read from the table as N_k / b^(k-1).
+    The sum form rather than (1-q^k)/(1-q), so q = 1 cleanly gives k."""
     if k < 0:
         raise ValueError(f"q_int needs k >= 0, got k={k}")
     if q < 0:
         raise ValueError(f"q_int needs q >= 0, got q={q}")
-    total = 0 * q
-    power = 1 + 0 * q
-    for _ in range(k):
-        total += power
-        power = power * q
-    return total
+    _, b, table = _table(k, q)
+    num, _, _ = next(islice(table, k, None))
+    return _reduce(q, num, b ** max(k - 1, 0))  # N_0 = 0 over any power of b
 
 
 def q_pochhammer(n: int, q: Scalar) -> Scalar:
-    """(q;q)_n, the product of (1 - q^k) for k = 1..n; empty product is 1."""
+    """(q;q)_n, the product of (1 - q^k) for k = 1..n; empty product is 1.
+    Over the table it is prod (b^k - a^k) / b^binom(n+1,2)."""
     if n < 0:
         raise ValueError(f"q_pochhammer needs n >= 0, got n={n}")
-    result = 1 + 0 * q
-    power = 1 + 0 * q
-    for _ in range(n):
-        power = power * q
-        result = result * (1 - power)
-    return result
+    a, b, table = _table(n, q)
+    num = prod((bpower - power for _, power, bpower in islice(table, 1, None)), start=1 + 0 * a)
+    return _reduce(q, num, b ** binom2(n + 1))
 
 
 def euler_phi_truncation(q: Scalar, eps: float) -> tuple[int, Scalar]:
@@ -101,35 +117,31 @@ def euler_phi(q: Scalar) -> Scalar:
     return q_pochhammer(n, q)
 
 
-_POWERS = {  # q^e for j = 1..r+1 as a slice of qpow = [q^0, ..., q^a]
-    "S": lambda qpow, r: qpow[: r + 1],
-    "G": lambda qpow, r: qpow[:1] * (r + 1),
-    "R": lambda qpow, r: qpow[r::-1],
-}
-
-
 @lru_cache(maxsize=4, typed=True)
-def _triangle(a: int, q: Scalar, kind: str) -> tuple[Scalar, ...]:
-    """Row a of the triangle X[r+1, j] = q^e X[r, j-1] + [j]_q X[r, j] with
-    X[0, 0] = 1 and zero outside 0 <= j <= r, where e = j-1 for kind "S",
-    0 for "G" and r+1-j for "R". The last few rows are cached, keyed by the
-    type of q as well as its value, so an exact caller never gets a float row.
+def _triangle(size: int, q: Scalar, kind: str) -> tuple[Scalar, ...]:
+    """Row ``size`` of the triangle X[r+1, j] = q^e X[r, j-1] + [j]_q X[r, j] with
+    X[0, 0] = 1 and zero outside 0 <= j <= r, where e = j-1 for kind "S", 0 for "G"
+    and r+1-j for "R". It runs in integers over `_table`: row r is held over
+    b^binom(r,2), so over b^r its coefficients are q^e = a^e b^(r-e) and
+    [j]_q = N_j b^(r+1-j), and each entry is reduced once, at the end. The last few
+    rows are cached, keyed by the type of q as well as its value, so an exact caller
+    never gets a float row.
     """
-    if a < 0 or q < 0:
-        raise ValueError(f"triangle needs a >= 0 and q >= 0, got a={a} q={q}")
-    zero = 0 * q
-    qpow = [1 + zero]
-    for _ in range(a):
-        qpow.append(qpow[-1] * q)
-    qints = list(accumulate(qpow[:a]))  # [1]_q, ..., [a]_q
-    row = [1 + zero]
-    for r in range(a):
+    if size < 0 or q < 0:
+        raise ValueError(f"triangle needs size >= 0 and q >= 0, got size={size} q={q}")
+    a, b, table = _table(size, q)
+    nums, pows, bpows = zip(*table)
+    zero, row, mono, qints = 0 * a, [pows[0]], [], []
+    for r in range(size):
+        if b != 1:  # the coefficients over b^r from those over b^(r-1)
+            mono, qints = [x * b for x in mono], [x * b for x in qints]
+        mono.append(pows[r])  # q^e = a^e b^(r-e), e = 0..r
+        qints.append(nums[r + 1])  # [j]_q = N_j b^(r+1-j), j = 1..r+1
+        coefs = mono if kind == "S" else mono[::-1] if kind == "R" else [bpows[r]] * (r + 1)
         right = row[1:] + [zero]
-        row = [zero] + [
-            power * left + qint * below
-            for power, left, qint, below in zip(_POWERS[kind](qpow, r), row, qints, right)
-        ]
-    return tuple(row)
+        row = [zero] + [c * left + d * below for c, left, d, below in zip(coefs, row, qints, right)]
+    den = b ** binom2(size)
+    return tuple(_reduce(q, t, den) for t in row)
 
 
 def q_stirling(a: int, b: int, q: Scalar) -> Scalar:

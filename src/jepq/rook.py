@@ -183,12 +183,8 @@ def path_to_ground(m: int, rooks: RookConfig) -> list[RookConfig]:
     ground = extended_ground(len(rooks))
     max_steps = (m + 1) * (m + 2)
     path = [rooks]
-    current = rooks
-    for _ in range(max_steps):
-        if current == ground:
+    for _ in range(max_steps + 1):
+        if path[-1] == ground:
             return path
-        current = _successors(m, current)[0]
-        path.append(current)
-    if current == ground:
-        return path
+        path.append(_successors(m, path[-1])[0])
     raise RuntimeError(f"ground not reached from {rooks} within {max_steps} steps")

@@ -184,7 +184,7 @@ def reference_row(a, q, kind):
     return row
 
 
-@pytest.mark.parametrize("q", (F(1, 3), F(1, 2), F(1), F(3, 2), 0.3))
+@pytest.mark.parametrize("q", (F(1, 3), F(1, 2), F(1), F(3, 2), 0.3, 2, F(1, 10**320)))
 @pytest.mark.parametrize("kind", sorted(EXPONENTS))
 def test_triangle_rows_match_per_entry_reference(q, kind):
     for a in range(13):
@@ -224,3 +224,37 @@ def test_cached_rows_cannot_be_mutated():
     reads = (q_stirling(6, 3, q), gould_stirling(6, 3, q),
              scaled_partition_z(5, 2, q), partition_z(5, 2, q))
     assert all(type(v) is F for v in reads)
+
+
+def reference_q_ints(q, top):
+    """[0]_q, ..., [top]_q by the generic running sum, in q's own type: the
+    steps of the loop q_int ran before the integer layer, read at every k."""
+    total = 0 * q
+    power = 1 + 0 * q
+    yield total
+    for _ in range(top):
+        total += power
+        power = power * q
+        yield total
+
+
+def reference_q_pochhammers(q, top):
+    """(q;q)_0, ..., (q;q)_top by the generic running product, in q's own type:
+    the steps of the loop q_pochhammer ran before the integer layer."""
+    result = 1 + 0 * q
+    power = 1 + 0 * q
+    yield result
+    for _ in range(top):
+        power = power * q
+        result = result * (1 - power)
+        yield result
+
+
+@pytest.mark.parametrize("q", (0.3, 0.5, 0.999, 1e-300, 1, 2, F(1, 3), F(3, 2), F(1, 10**320)))
+def test_integer_layer_matches_generic_loops(q):
+    # the integer table gives the same values in the same types; floats bit for bit
+    pairs = zip(range(31), reference_q_ints(q, 30), reference_q_pochhammers(q, 30))
+    for k, ref_int, ref_poch in pairs:
+        for got, ref in ((q_int(k, q), ref_int), (q_pochhammer(k, q), ref_poch)):
+            assert got == ref and type(got) is type(ref)
+            assert not isinstance(ref, float) or got.hex() == ref.hex()

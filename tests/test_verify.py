@@ -77,9 +77,40 @@ def test_bounded_balance_can_fail(monkeypatch):
     # the injection above reaches the unbounded half; this one the bounded half
     original = verify.stationary_distribution
     monkeypatch.setattr(verify, "stationary_distribution", lambda model: _bump_first(original(model)))
-    result = verify._check_balance(3, verify.DEFAULT_QS)
-    assert not result.passed
-    assert result.detail.startswith("bounded law not stationary at (2,1,")
+    passed, detail = verify._check_balance(3, verify.DEFAULT_QS)
+    assert not passed
+    assert detail.startswith("bounded law not stationary at (2,1,")
+
+
+def test_raising_checks_are_fail_lines(monkeypatch, capsys):
+    # a fault inside the library is that check's FAIL line, not a usage error
+    def raiser(error):
+        def fault(*args, **kwargs):
+            raise error("injected fault")
+        return fault
+
+    monkeypatch.setattr(verify, "tv_to_unbounded", raiser(ValueError))
+    monkeypatch.setattr(verify, "path_to_ground", raiser(RuntimeError))
+    assert main(["verify", "--max-m", "4"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 9
+    assert [line for line in lines if not line.startswith("PASS ")] == [
+        "FAIL extended-chain: raised RuntimeError: injected fault",
+        "FAIL tv-bounds: raised ValueError: injected fault",
+    ]
+
+
+@pytest.mark.parametrize("check", INJECTIONS)
+def test_any_check_that_raises_fails_alone(check, monkeypatch):
+    def fault(max_m, qs):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setitem(verify._CHECKS, check, fault)
+    results = verify.run_checks(max_m=3)
+    assert [r.name for r in results] == list(INJECTIONS)
+    assert [(r.name, r.detail) for r in results if not r.passed] == [
+        (check, "raised RuntimeError: injected fault")
+    ]
 
 
 def _vanishing(value, q):

@@ -1,19 +1,20 @@
 """Seeded simulation of the juggling chains and the coupled two-chain run.
 
 Randomness comes from a small counter-based generator (Weyl sequence fed
-through the SplitMix64 finalizer), so every draw is a pure function of
-(seed, stream, call index): trajectories reproduce bit for bit on any
-platform, and parallel replicas get independent streams by mixing the
-replica index into the seed rather than by sharing state.
+through the SplitMix64 finalizer): a draw is a 53-bit integer, the same pure function
+of (seed, stream, call index) on any platform, and replicas get independent streams
+by mixing the replica index into the seed. Ranks go through the platform's
+``math.log`` (`_rank`), so trajectories reproduce bit for bit where it rounds alike.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import islice
 
 from .qcomb import Scalar
@@ -32,6 +33,7 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MAX_BLOCK = 512
 # the step to each lane's low word among a block's native-order 64-bit words, lane 0 first
 _LOW = 2 if sys.byteorder == "little" else -2
+_MAX_RANKS = 64
 
 __all__ = [
     "RngStream",
@@ -75,6 +77,10 @@ class RngStream:
         """The next k floats in [0, 1), 53 random bits each; the stream advances by k."""
         if k < 0:
             raise ValueError(f"need k >= 0, got {k}")
+        return list(map((2.0**-53).__mul__, self._draws(k)))
+
+    def _draws(self, k: int) -> list[int]:
+        """The next k draws as integers in [0, 2^53): draw d is the uniform d * 2^-53."""
         ones, words, gammas = _block_constants()
         out, c = [], self._counter
         for start in range(0, k, _MAX_BLOCK):
@@ -83,8 +89,7 @@ class RngStream:
             mask = words & low
             # past >> 11, lane i's low word is draw i: the next lane's bits land above bit 85
             z = _mix64((c * (ones & low) + (gammas & low)) & mask, mask) >> 11
-            draws = memoryview(z.to_bytes(16 * b, sys.byteorder)).cast("Q")[::_LOW]
-            out += map((2.0**-53).__mul__, draws)
+            out += memoryview(z.to_bytes(16 * b, sys.byteorder)).cast("Q")[::_LOW].tolist()
             c = (c + b * _GAMMA) & _MASK64
         self._counter = c
         return out
@@ -97,6 +102,24 @@ def _rank(u: float, log_q: float, mass: float = 1.0, ell: float = math.inf) -> i
     >= 0; rounding can reach ell."""
     x = int(math.log(1.0 - u * mass) / log_q) if mass else int(u * ell)
     return x if x < ell else ell - 1
+
+
+@lru_cache(maxsize=16)
+def _ranker(model: ThrowModel):
+    """`_rank` of ``model``'s throw law on blocks of draws d (u = d * 2^-53): a bisect among the
+    least draws of rank 1, 2, ..., _MAX_RANKS, found by binary search over `_rank` (so the two
+    agree wherever `_rank` is monotone in d), or `_rank` past them. Replicas share one table."""
+    q = float(model.q)
+    law = () if isinstance(model, UnboundedGeometric) else (1.0 - q**model.ell, model.ell)
+    rank = lambda d, log_q=math.log(q): _rank(d * 2.0**-53, log_q, *law)
+    top = min(rank(2**53 - 1), _MAX_RANKS)
+    lookup = partial(bisect_right, [bisect_left(range(2**53), r, key=rank) for r in range(1, top + 1)])
+    def ranks(draws: list[int]) -> list[int]:
+        out = list(map(lookup, draws))
+        if _MAX_RANKS in out:
+            out = [r if r < _MAX_RANKS else rank(d) for r, d in zip(out, draws)]
+        return out
+    return ranks
 
 
 @dataclass
@@ -168,25 +191,24 @@ def simulate(model: ThrowModel, initial: State, steps: int, seed: int, stream: i
     validate_state(initial, model)
     if steps < 0:
         raise ValueError(f"need steps >= 0, got {steps}")
-    rng = RngStream(seed, stream)
-    q = float(model.q)
-    log_q, mass, ell = math.log(q), 1.0, math.inf
-    if not isinstance(model, UnboundedGeometric):
-        mass, ell = 1.0 - q**model.ell, model.ell
+    rng, ranks = RngStream(seed, stream), _ranker(model)
     table = _Successors(initial)
     rows, table_states, step = table.rows, table.states, table.step
-    states, us = [initial], []
-    current = pos = throws = 0
+    states, block = [initial], []
+    current = pos = drawn = 0
     for t in range(steps):
-        row, r = rows[current], None
-        if type(row) is dict:
-            if pos == len(us):  # each remaining step throws at most once
-                us, pos = rng.uniforms(min(_MAX_BLOCK, steps - t)), 0
-            r, pos, throws = _rank(us[pos], log_q, mass, ell), pos + 1, throws + 1
-        j = row if type(row) is int else None if row is None else row.get(r)
-        current = step(current, r) if j is None else j
+        row = rows[current]
+        if type(row) is int:
+            current = row
+        elif row is None:
+            current = step(current, None)
+        else:
+            if pos == len(block):  # each remaining step throws at most once, taking one draw
+                block, pos, drawn = ranks(rng._draws(min(_MAX_BLOCK, steps - t))), 0, drawn + pos
+            r, pos = block[pos], pos + 1
+            current = row[r] if r in row else step(current, r)
         states.append(table_states[current])
-    return Trajectory(initial=initial, states=states, throw_count=throws)
+    return Trajectory(initial=initial, states=states, throw_count=drawn + pos)
 
 
 def empirical_distribution(traj: Trajectory, burn_in: int = 1000) -> dict[State, float]:
@@ -214,24 +236,22 @@ def coupled_simulate(
     paths agree through step t, with probability exactly (1 - q^ell)^t,
     whenever the first t pairs agree."""
     bounded = BoundedGeometric(m, n, q)
-    UnboundedGeometric(n, q)  # checks 0 < q < 1
+    geometric = _ranker(UnboundedGeometric(n, q))  # checks 0 < q < 1
     validate_state(initial, bounded)
-    rng = RngStream(seed, stream)
-    ell, qf = bounded.ell, float(q)
-    log_q, mass = math.log(qf), 1.0 - qf**ell
+    rng, ell, truncated = RngStream(seed, stream), bounded.ell, _ranker(bounded)
     table = _Successors(initial)
     rows, table_states, step = table.rows, table.states, table.step
-    b_states, u_states, us = [initial], [initial], []
+    b_states, u_states, block = [initial], [initial], []
     b_cur = u_cur = pos = 0
     decouple: int | None = None
     for t in range(1, steps + 1):
-        # every step takes a uniform; a residual draw past the block takes the next one
-        if pos >= len(us):
-            us, pos = rng.uniforms(min(_MAX_BLOCK, steps - t + 1)), 0
-        xi = xi_hat = _rank(us[pos], log_q)
+        # every step takes a draw; a residual draw past the block takes the next one
+        if pos >= len(block):
+            xis, pos = geometric(block := rng._draws(min(_MAX_BLOCK, steps - t + 1))), 0
+        xi = xi_hat = xis[pos]
         pos += 1
         if xi >= ell:
-            xi_hat = _rank(us[pos] if pos < len(us) else rng.uniforms(1)[0], log_q, mass, ell)
+            xi_hat = truncated([block[pos] if pos < len(block) else rng._draws(1)[0]])[0]
             pos += 1
             decouple = decouple or t
         row = rows[b_cur]

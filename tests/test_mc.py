@@ -151,6 +151,74 @@ def test_uniform_sampler_fits_pmf():
     assert chi2_stat(counts, probs, total) < CHI2_999[5]
 
 
+@pytest.mark.parametrize(
+    "model, seed, bins, dof",
+    [
+        pytest.param(
+            BoundedGeometric(4, 1, F(1, 2)), 2024,
+            {x: float(p) for x, p in enumerate(truncated_geometric_pmf(4, F(1, 2)))}, 3,
+            id="truncated",
+        ),
+        pytest.param(
+            UnboundedGeometric(1, F(1, 2)), 2025, {**{x: 0.5**x * 0.5 for x in range(10)}, 10: 0.5**10},
+            10, id="geometric",
+        ),
+        pytest.param(BoundedUniform(6, 1), 2026, {x: 1 / 6 for x in range(6)}, 5, id="uniform"),
+    ],
+)
+def test_table_sampler_fits_pmf(model, seed, bins, dof):
+    # the chi-square tests above, on the same draws ranked through the threshold table
+    total = 1_000_000
+    counts: dict[int, int] = {}
+    for x in mc._ranker(model)(RngStream(seed)._draws(total)):
+        x = min(x, max(bins))  # the geometric case lumps its tail into the last bin
+        counts[x] = counts.get(x, 0) + 1
+    assert set(counts) <= set(bins)
+    assert chi2_stat(counts, bins, total) < CHI2_999[dof]
+
+
+def first_draw_of_rank(rank, r):
+    """The least 53-bit draw d with rank(d) >= r, by a plain binary search."""
+    lo, hi = 0, 2**53
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if rank(mid) >= r else (mid + 1, hi)
+    return lo
+
+
+TABLE_QS = [F(1, 2), 0.3, 0.9, 0.99, 0.99999, 1e-300]
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        *(pytest.param(UnboundedGeometric(1, q), id=f"unbounded-{float(q)}") for q in TABLE_QS),
+        *(
+            pytest.param(BoundedGeometric(ell, 1, q), id=f"ell{ell}-{float(q)}")
+            for ell in (1, 2, 7)
+            for q in TABLE_QS
+        ),
+        *(pytest.param(BoundedUniform(ell, 1), id=f"uniform-ell{ell}") for ell in (1, 6)),
+    ],
+)
+def test_rank_table_matches_rank(model):
+    q = float(model.q)
+    ell = None if isinstance(model, UnboundedGeometric) else model.ell
+    rank = lambda d: reference_rank(d / 2**53, q, ell)
+    ranks = mc._ranker(model)
+    # every threshold the table can hold, and two past its cap, where draws go through `_rank`
+    top = min(rank(2**53 - 1), mc._MAX_RANKS + 2)
+    if q == 1e-300:
+        assert top == 0  # no draw reaches rank 1: the table is empty
+    for r in range(1, top + 1):
+        t = first_draw_of_rank(rank, r)
+        assert rank(t - 1) < r <= rank(t)
+        near = list(range(max(t - 4096, 0), min(t + 4097, 2**53)))
+        assert ranks(near) == [rank(d) for d in near]
+    draws = RngStream(18, ell or 0)._draws(10**5) + [0, 2**53 - 1]
+    assert ranks(draws) == [rank(d) for d in draws]
+
+
 def test_simulate_deterministic_fall():
     model = BoundedGeometric(5, 2, F(1, 2))
     traj = simulate(model, (1, 3), 1, seed=0)
@@ -246,6 +314,9 @@ MODELS = [
     pytest.param(BoundedUniform(7, 3), (0, 1, 2), id="uniform"),
     pytest.param(UnboundedGeometric(4, F(1, 2)), (0, 1, 2, 3), id="unbounded"),
     pytest.param(BoundedGeometric(4, 0, F(1, 2)), (), id="empty"),
+    # ranks past the table's cap go through `_rank`; at 1e-300 every rank is 0 and the table is empty
+    pytest.param(UnboundedGeometric(3, 0.99), (0, 1, 2), id="unbounded-0.99"),
+    pytest.param(UnboundedGeometric(3, 1e-300), (0, 1, 2), id="unbounded-1e-300"),
 ]
 
 
@@ -287,7 +358,11 @@ BLOCK_EDGES = [blocks * mc._MAX_BLOCK + d for blocks in (1, 2) for d in (-1, 0, 
 @pytest.mark.parametrize("steps", BLOCK_EDGES)
 @pytest.mark.parametrize(
     "model, initial",
-    [pytest.param(BoundedGeometric(3, 3, F(1, 2)), (0, 1, 2), id="every-step-throws"), *MODELS[1:4]],
+    [
+        pytest.param(BoundedGeometric(3, 3, F(1, 2)), (0, 1, 2), id="every-step-throws"),
+        *MODELS[1:4],
+        *MODELS[5:],
+    ],
 )
 def test_simulate_matches_reference_loop_at_block_edges(model, initial, steps):
     traj = simulate(model, initial, steps, seed=steps)
@@ -308,13 +383,13 @@ def test_coupled_simulate_matches_reference_loop_at_block_edges(m, n, steps):
 
 def test_runs_draw_no_more_uniforms_than_they_can_use(monkeypatch):
     drawn = []
-    uniforms = RngStream.uniforms
+    draws = RngStream._draws
 
     def recording(self, k):
         drawn.append(k)
-        return uniforms(self, k)
+        return draws(self, k)
 
-    monkeypatch.setattr(RngStream, "uniforms", recording)
+    monkeypatch.setattr(RngStream, "_draws", recording)
     cases = [
         (BoundedGeometric(4, 0, F(1, 2)), ()),
         (BoundedGeometric(12, 2, F(1, 2)), (0, 1)),
@@ -332,6 +407,21 @@ def test_runs_draw_no_more_uniforms_than_they_can_use(monkeypatch):
             coupled_simulate(m, n, F(1, 2), tuple(range(n)), steps, seed=steps)
             assert steps <= sum(drawn) <= 2 * steps
             assert max(drawn, default=0) <= mc._MAX_BLOCK
+
+
+@pytest.mark.parametrize("steps", [0, 1, 513, 3000])
+@pytest.mark.parametrize("model, initial", MODELS)
+def test_throw_count_counts_steps_from_a_ball_at_height_zero(model, initial, steps):
+    traj = simulate(model, initial, steps, seed=steps + 1)
+    assert traj.throw_count == sum(s[:1] == (0,) for s in traj.states[:-1])
+
+
+def test_coupled_simulate_matches_reference_loop_past_the_rank_table():
+    # at q = 0.99 and ell = 78 both laws rank draws past the table's cap through `_rank`
+    initial = (0, 1, 2)
+    run = coupled_simulate(80, 3, 0.99, initial, 3000, seed=4)
+    assert run.first_decouple_step is not None
+    assert (run.bounded_states, run.unbounded_states) == reference_coupled(80, 3, 0.99, initial, 3000, 4)
 
 
 def test_empirical_distribution_basics():

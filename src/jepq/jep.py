@@ -182,8 +182,8 @@ def _numerators(m: int, n: int, q: Scalar, states):
     Returns the division to apply (for an exact q, one reduction by an integer,
     which may be held as a Fraction as Z b^E is), b^E and a stream of (state, W).
     A float q takes a = q and b = 1: the product's float steps."""
-    a, b, table = _table(m - n + 1, q)
-    nums = [num for num, _, _ in table]
+    a, b, nums, _, _ = _table(m - n + 1, q)
+    nums = list(nums)
     def stream():
         for state in states:
             w = 1 + 0 * a

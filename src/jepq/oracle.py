@@ -118,16 +118,16 @@ def solve_stationary(tm: TransitionMatrix) -> dict:
     rows, dens = [], []
     holders: list[set[int]] = [set() for _ in range(n)]
     for i, row in enumerate(tm.rows):
-        entries = {tm.pos[succ]: Fraction(p) for succ, p in row.items() if p}
+        entries = {tm.pos[succ]: p for succ, p in row.items() if p}
         d = math.lcm(*(p.denominator for p in entries.values()))
         rows.append({j: p.numerator * (d // p.denominator) for j, p in entries.items()})
         dens.append(d)
         for j in entries:
             if j > i:
                 holders[j].add(i)
-    # Censor states from the top index down. a[i][k] over the exit mass of k,
-    # s / dens[k], is the chance that i enters k per unit of time k eventually
-    # spends below k, as the forward recursion needs; row i folds in s * row k.
+    # Censor states from the top index down. a[i][k] over the exit mass of k, s / dens[k]
+    # (into[k] keeps it as an integer pair), is the chance that i enters k per unit of time
+    # k eventually spends below k, as the forward recursion needs; row i folds in s * row k.
     into: list[list] = [[] for _ in range(n)]
     for k in range(n - 1, 0, -1):
         row_k = rows[k]
@@ -137,7 +137,7 @@ def solve_stationary(tm: TransitionMatrix) -> dict:
             raise ValueError("kernel is not irreducible: no exit from a top block")
         for i in holders[k]:
             entry = rows[i].pop(k)
-            into[k].append((i, Fraction(entry * dens[k], dens[i] * s)))
+            into[k].append((i, entry * dens[k], dens[i] * s))
             row_i = {j: s * v for j, v in rows[i].items()}
             for j, v in row_k.items():
                 row_i[j] = row_i.get(j, 0) + entry * v
@@ -146,11 +146,18 @@ def solve_stationary(tm: TransitionMatrix) -> dict:
             g = math.gcd(dens[i] * s, *row_i.values())
             rows[i] = {j: v // g for j, v in row_i.items()}
             dens[i] = dens[i] * s // g
-    pi = [Fraction(1)] * n
+    # pi[k] = pi_num[k] / pi_den[k]: its terms over the lcm of their denominators, reduced once
+    pi_num, pi_den = [1] * n, [1] * n
     for k in range(1, n):
-        pi[k] = sum(pi[i] * f for i, f in into[k])
-    total = sum(pi)
-    return {state: pi[i] / total for i, state in enumerate(tm.states)}
+        terms = [(pi_num[i] * num, pi_den[i] * den) for i, num, den in into[k]]
+        d = math.lcm(*(den for _, den in terms))
+        p = sum(num * (d // den) for num, den in terms)
+        g = math.gcd(p, d)
+        pi_num[k], pi_den[k] = p // g, d // g
+    d = math.lcm(*pi_den)
+    weights = [p * (d // den) for p, den in zip(pi_num, pi_den)]
+    total = sum(weights)
+    return {state: Fraction(w, total) for w, state in zip(weights, tm.states)}
 
 
 def total_variation(mu: dict, nu: dict, mu_tail: Scalar = 0, nu_tail: Scalar = 0) -> Scalar:

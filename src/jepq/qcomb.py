@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import accumulate, islice, repeat
 from math import comb, isqrt, prod
+from operator import mul, sub
 from typing import Union
 
 Scalar = Union[int, Fraction, float]
@@ -42,16 +43,14 @@ def parse_scalar(text: str, exact: bool = True) -> Scalar:
 def _table(c: int, q: Scalar):
     """The one integer q-layer. With q = a/b in lowest terms (an int or float q is
     (q, 1), so a float takes the same steps with b = 1), returns a, b and the lazy
-    table of (N_k, a^k, b^k) for k = 0..c, where N_0 = 0 and N_(k+1) = b N_k + a^k,
-    so that [k]_q = N_k / b^(k-1). Lazy, so a long product holds one entry at a time."""
+    columns N_k, a^k and b^k of the table for k = 0..c, where N_0 = 0 and
+    N_(k+1) = b N_k + a^k, so that [k]_q = N_k / b^(k-1). Each column is its own
+    `accumulate`, so a reader pays only for the columns it reads, one entry at a time."""
     a, b = (q, 1) if isinstance(q, float) else (q.numerator, q.denominator)
-    def entries():
-        num, power, bpower = 0 * a, 1 + 0 * a, 1
-        yield num, power, bpower
-        for _ in range(c):
-            num, power, bpower = b * num + power, power * a, bpower * b
-            yield num, power, bpower
-    return a, b, entries()
+    def powers(x, count=c):
+        return accumulate(repeat(x, count), mul, initial=1 + 0 * x)
+    nums = accumulate(powers(a, c - 1), lambda num, power: b * num + power, initial=0 * a)
+    return a, b, nums, powers(a), powers(b)
 
 
 def _reduce(q: Scalar, num, den: int) -> Scalar:
@@ -67,8 +66,8 @@ def q_int(k: int, q: Scalar) -> Scalar:
         raise ValueError(f"q_int needs k >= 0, got k={k}")
     if q < 0:
         raise ValueError(f"q_int needs q >= 0, got q={q}")
-    _, b, table = _table(k, q)
-    num, _, _ = next(islice(table, k, None))
+    _, b, nums, _, _ = _table(k, q)
+    num = next(islice(nums, k, None))
     return _reduce(q, num, b ** max(k - 1, 0))  # N_0 = 0 over any power of b
 
 
@@ -77,8 +76,8 @@ def q_pochhammer(n: int, q: Scalar) -> Scalar:
     Over the table it is prod (b^k - a^k) / b^binom(n+1,2)."""
     if n < 0:
         raise ValueError(f"q_pochhammer needs n >= 0, got n={n}")
-    a, b, table = _table(n, q)
-    num = prod((bpower - power for _, power, bpower in islice(table, 1, None)), start=1 + 0 * a)
+    a, b, _, pows, bpows = _table(n, q)
+    num = prod(map(sub, islice(bpows, 1, None), islice(pows, 1, None)), start=1 + 0 * a)
     return _reduce(q, num, b ** binom2(n + 1))
 
 
@@ -129,8 +128,8 @@ def _triangle(size: int, q: Scalar, kind: str) -> tuple[Scalar, ...]:
     """
     if size < 0 or q < 0:
         raise ValueError(f"triangle needs size >= 0 and q >= 0, got size={size} q={q}")
-    a, b, table = _table(size, q)
-    nums, pows, bpows = zip(*table)
+    a, b, *columns = _table(size, q)
+    nums, pows, bpows = map(list, columns)
     zero, row, mono, qints = 0 * a, [pows[0]], [], []
     for r in range(size):
         if b != 1:  # the coefficients over b^r from those over b^(r-1)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator
-from itertools import combinations
+from itertools import chain, combinations
 
 from .qcomb import Scalar, gould_stirling
 from .jep import State, truncated_geometric_pmf
@@ -49,10 +49,6 @@ def validate_config(m: int, rooks: RookConfig) -> None:
     for r, c in rooks:
         if not (r >= 0 and c >= 0 and r + c <= m - 1):
             raise ValueError(f"cell {(r, c)} off the board of height {m}")
-
-
-def _canonical(cells) -> RookConfig:
-    return tuple(sorted(cells))
 
 
 def enumerate_configs(m: int, n: int) -> list[RookConfig]:
@@ -94,33 +90,29 @@ def extensions(heights: State, m: int) -> list[RookConfig]:
 
 
 def _placements_with_circ(m: int, n: int) -> Iterator[tuple[RookConfig, int]]:
-    """Every placement of n rooks on the board of height m, with its circ."""
+    """Every placement of n rooks on the board of height m, with its circ, one
+    row set's list at a time, so a histogram never holds them all."""
     if not 0 <= n <= m:
         raise ValueError(f"need 0 <= n <= m, got m={m} n={n}")
-    for rows in combinations(range(m), n):
-        yield from _extensions_with_circ(rows, m)
+    return chain.from_iterable(_extensions_with_circ(rows, m) for rows in combinations(range(m), n))
 
 
-def _extensions_with_circ(heights: State, m: int) -> Iterator[tuple[RookConfig, int]]:
-    """Every placement whose rook rows equal ``heights``, with its circ,
-    summed by the rule of `circ` as the rows are filled from the top down."""
-    if any(h < 0 or h > m - 1 for h in heights):
-        raise ValueError(f"heights {heights} out of range for board height {m}")
-    if len(set(heights)) != len(heights):
-        raise ValueError(f"heights must be distinct, got {heights}")
-    rows = sorted(heights, reverse=True)
-
-    def assign(i: int, used: frozenset, acc: RookConfig, count: int):
-        if i == len(rows):
-            yield acc, count
-            return
-        r = rows[i]
-        for c in range(m - 1 - r, -1, -1):
-            if c not in used:
-                yield from assign(i + 1, used | {c}, ((r, c),) + acc, count)
-                count += 1  # c is free and right of every later choice
-
-    yield from assign(0, frozenset(), (), 0)
+def _extensions_with_circ(heights: State, m: int) -> list[tuple[RookConfig, int]]:
+    """Every placement whose rook rows equal ``heights``, with its circ by the rule of `circ`,
+    grown a row at a time from the top: (placement, used columns as a bitmask, circ so far)."""
+    if len(set(heights)) != len(heights) or not all(0 <= h < m for h in heights):
+        raise ValueError(f"heights {heights} must be distinct rows of the board of height {m}")
+    level = [((), 0, 0)]
+    for r in sorted(heights, reverse=True):
+        cells = [(((r, c),), 1 << c) for c in range(m - 1 - r, -1, -1)]
+        grown = []
+        for acc, used, count in level:
+            for cell, bit in cells:
+                if not used & bit:
+                    grown.append((cell + acc, used | bit, count))
+                    count += 1  # the column is free and right of every later choice
+        level = grown
+    return [(acc, count) for acc, _, count in level]
 
 
 def row_projection(rooks: RookConfig) -> State:
@@ -129,14 +121,16 @@ def row_projection(rooks: RookConfig) -> State:
 
 
 def _successors(m: int, rooks: RookConfig) -> list[RookConfig]:
-    """The placements one extended step can reach. With no rook in the
-    bottom row that is the lone drift; otherwise the bottom rook re-enters
-    column 0 in each row left free by the drift, lowest row first."""
-    drifted = _canonical((r - 1, c + 1) for r, c in rooks if r > 0)
+    """The placements one extended step can reach from a placement sorted by row. With no
+    rook in the bottom row that is the lone drift; otherwise the bottom rook re-enters column
+    0 in each row left free by the drift, lowest row first. Drifting keeps the row order, and
+    row - k drifted rooks lie below the k-th free row (from 0), so each successor is sorted."""
+    drifted = tuple((r - 1, c + 1) for r, c in rooks if r > 0)
     if len(drifted) == len(rooks):
         return [drifted]
     occupied = {r for r, _ in drifted}
-    return [_canonical(drifted + ((row, 0),)) for row in range(m) if row not in occupied]
+    free = [row for row in range(m) if row not in occupied]
+    return [drifted[: row - k] + ((row, 0),) + drifted[row - k :] for k, row in enumerate(free)]
 
 
 def extended_kernel_row(m: int, rooks: RookConfig, q: Scalar) -> dict[RookConfig, Scalar]:
@@ -149,7 +143,7 @@ def extended_kernel_row(m: int, rooks: RookConfig, q: Scalar) -> dict[RookConfig
     uniform at q = 1.
     """
     validate_config(m, rooks)
-    return _extended_rows(m, len(rooks), [rooks], q)[0]
+    return _extended_rows(m, len(rooks), [tuple(sorted(rooks))], q)[0]
 
 
 def _extended_rows(m: int, n: int, configs: list[RookConfig], q: Scalar) -> list[dict]:
@@ -169,7 +163,7 @@ def extended_distribution(m: int, n: int, q: Scalar) -> dict[RookConfig, Scalar]
 def extended_ground(n: int) -> RookConfig:
     """The diagonal placement (i, n-1-i): the fixed point of always
     throwing to the lowest available height."""
-    return _canonical((i, n - 1 - i) for i in range(n))
+    return tuple((i, n - 1 - i) for i in range(n))
 
 
 def path_to_ground(m: int, rooks: RookConfig) -> list[RookConfig]:
@@ -182,7 +176,7 @@ def path_to_ground(m: int, rooks: RookConfig) -> list[RookConfig]:
     validate_config(m, rooks)
     ground = extended_ground(len(rooks))
     max_steps = (m + 1) * (m + 2)
-    path = [rooks]
+    path = [tuple(sorted(rooks))]
     for _ in range(max_steps + 1):
         if path[-1] == ground:
             return path

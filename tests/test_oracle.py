@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -74,6 +75,21 @@ def test_solve_residual_is_zero():
     assert sum(pi.values()) == 1
 
 
+def assert_exact_law(pi):
+    # Fractions in lowest terms that sum to exactly 1
+    assert all(type(p) is F and math.gcd(p.numerator, p.denominator) == 1 for p in pi.values())
+    assert sum(pi.values()) == 1
+
+
+@pytest.mark.parametrize("q", (F(1, 3), F(2, 3), F(1)))
+def test_integer_back_substitution_matches_closed_form(q):
+    model = BoundedGeometric(9, 4, q)
+    pi = solve_stationary(build_transition_matrix(model))
+    assert pi == stationary_distribution(model)
+    assert list(pi) == enumerate_states(9, 4)
+    assert_exact_law(pi)
+
+
 def test_solve_rejects_float_kernel():
     float_kernel = build_transition_matrix(BoundedGeometric(6, 3, 0.5))
     assert not float_kernel.is_exact()
@@ -106,11 +122,14 @@ def test_solve_hand_built_kernel():
     assert list(pi) == [0, 1, 2, 3]
     assert all(type(p) is F for p in pi.values())
     assert tm.push(pi) == pi
+    assert_exact_law(pi)
 
 
 def test_solve_accepts_mixed_int_and_fraction_rows():
     tm = TransitionMatrix(["x", "y"], [{"x": 0, "y": 1}, {"x": F(1, 3), "y": F(2, 3)}])
-    assert solve_stationary(tm) == {"x": F(1, 4), "y": F(3, 4)}
+    pi = solve_stationary(tm)
+    assert pi == {"x": F(1, 4), "y": F(3, 4)}
+    assert_exact_law(pi)
 
 
 def test_total_variation_basics():

@@ -106,6 +106,57 @@ def test_circ_matches_blocker_definition():
                 assert value == circ(m, config) == blocker_circ(m, config)
 
 
+def recursive_extensions_with_circ(heights, m):
+    """The placement walk as a recursive generator over frozensets of used
+    columns, rows filled from the top down: the walk the row-by-row one replaced."""
+    rows = sorted(heights, reverse=True)
+
+    def assign(i, used, acc, count):
+        if i == len(rows):
+            yield acc, count
+            return
+        r = rows[i]
+        for c in range(m - 1 - r, -1, -1):
+            if c not in used:
+                yield from assign(i + 1, used | {c}, ((r, c),) + acc, count)
+                count += 1
+
+    yield from assign(0, frozenset(), (), 0)
+
+
+def test_walk_matches_recursive_walk():
+    from itertools import combinations
+
+    from jepq.rook import _extensions_with_circ, _placements_with_circ
+
+    # the same pairs in the same order
+    for m in range(9):
+        for n in range(m + 1):
+            reference = [
+                pair
+                for rows in combinations(range(m), n)
+                for pair in recursive_extensions_with_circ(rows, m)
+            ]
+            assert list(_placements_with_circ(m, n)) == reference
+    for m in range(8):
+        for n in range(m + 1):
+            for heights in combinations(range(m), n):
+                for order in (heights, heights[::-1]):
+                    expected = list(recursive_extensions_with_circ(order, m))
+                    assert list(_extensions_with_circ(order, m)) == expected
+
+
+def test_walk_rejects_bad_heights_when_called():
+    from jepq.rook import _extensions_with_circ, _placements_with_circ
+
+    for heights, m in (((3,), 3), ((-1,), 3), ((1, 1), 3), ((0, 2, 0), 4)):
+        with pytest.raises(ValueError):
+            _extensions_with_circ(heights, m)
+    for m, n in ((3, 4), (3, -1)):
+        with pytest.raises(ValueError):
+            _placements_with_circ(m, n)
+
+
 def test_circ_examples():
     assert circ(2, ((1, 0),)) == 0
     assert circ(2, ((0, 0),)) == 1
@@ -237,3 +288,16 @@ def test_ground_reachable_from_everywhere():
     for n in range(1, 6):
         path = path_to_ground(n + 2, extended_ground(n))
         assert path == [extended_ground(n)]
+
+
+def test_cell_order_of_the_input_does_not_matter():
+    # successors are built in row order from the canonical placement
+    q = F(1, 2)
+    for m in range(1, 6):
+        for n in range(2, m + 1):
+            for config in enumerate_configs(m, n):
+                shuffled = config[::-1]
+                assert list(extended_kernel_row(m, shuffled, q).items()) == list(
+                    extended_kernel_row(m, config, q).items()
+                )
+                assert path_to_ground(m, shuffled) == path_to_ground(m, config)

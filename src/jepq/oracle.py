@@ -15,14 +15,16 @@ from .qcomb import (
     binom2,
     euler_phi,
     gould_stirling,
+    _reduce,
+    _triangle_rows,
     q_int,
     q_pochhammer,
-    scaled_partition_z,
 )
 from .jep import (
     BoundedGeometric,
     ThrowModel,
     UnboundedGeometric,
+    _numerators,
     _unbounded_probs,
     enumerate_states,
     stationary_distribution,
@@ -138,14 +140,16 @@ def solve_stationary(tm: TransitionMatrix) -> dict:
         for i in holders[k]:
             entry = rows[i].pop(k)
             into[k].append((i, entry * dens[k], dens[i] * s))
-            row_i = {j: s * v for j, v in rows[i].items()}
+            h = math.gcd(s, entry)  # the fold is (s row_i + entry row_k) / (dens[i] s)
+            scale, entry, den = s // h, entry // h, dens[i] * (s // h)
+            row_i = {j: scale * v for j, v in rows[i].items()}
             for j, v in row_k.items():
                 row_i[j] = row_i.get(j, 0) + entry * v
                 if j > i:
                     holders[j].add(i)
-            g = math.gcd(dens[i] * s, *row_i.values())
-            rows[i] = {j: v // g for j, v in row_i.items()}
-            dens[i] = dens[i] * s // g
+            g = math.gcd(den, *row_i.values())
+            rows[i] = {j: v // g for j, v in row_i.items()} if g > 1 else row_i
+            dens[i] = den // g
     # pi[k] = pi_num[k] / pi_den[k]: its terms over the lcm of their denominators, reduced once
     pi_num, pi_den = [1] * n, [1] * n
     for k in range(1, n):
@@ -198,21 +202,28 @@ def tv_to_unbounded(m: int, n: int, q: Scalar, state_cap: int = DEFAULT_STATE_CA
 
     The bounded law is supported on height sets inside {0..m-1}, so the
     unbounded law's mass outside those sets is exactly one minus its mass on
-    them; no truncation error enters.
+    them; no truncation error enters. For an exact q = a/b, TV = 1 - sum min(mu, nu) is
+    one integer sum, reduced once: mu = W / S with S = sum W (`jep._numerators`), and
+    nu = V / L with V = P a^s b^(top-s), L = D b^top, where (q;q)_n = P / D,
+    s = sum(x) - binom(n,2) and top = n(m-n). A float q sums the float laws, as the
+    integer form would round differently and cancel when TV is small.
     """
     check_state_cap(m, n, state_cap)
-    mu = stationary_distribution(BoundedGeometric(m, n, q))
-    nu = _unbounded_probs(UnboundedGeometric(n, q), mu)
-    tail = 1 - sum(nu.values())
+    bounded, unbounded = BoundedGeometric(m, n, q), UnboundedGeometric(n, q)  # validate first
+    if isinstance(q, float):
+        mu = stationary_distribution(bounded)
+        nu = _unbounded_probs(unbounded, mu)
+        tv = total_variation(mu, nu, nu_tail=1 - sum(nu.values()))
+    else:
+        _, _, numerators = _numerators(m, n, q, enumerate_states(m, n))
+        weights = [(w, sum(state) - binom2(n)) for state, w in numerators]
+        (a, b), poch, top = q.as_integer_ratio(), q_pochhammer(n, q), n * (m - n)
+        total, scale = sum(w for w, _ in weights), poch.denominator * b**top  # S and L
+        vs = [poch.numerator * a**s * b ** (top - s) * total for s in range(top + 1)]  # V S
+        tv = Fraction(total * scale - sum(min(w * scale, vs[s]) for w, s in weights), total * scale)
     ell = m - n + 1
-    return ConvergenceRow(
-        m=m,
-        n=n,
-        q=q,
-        tv=total_variation(mu, nu, nu_tail=tail),
-        bound_exact=1 - (1 - q**ell) ** m,
-        bound_simple=m * q**ell,
-    )
+    return ConvergenceRow(m=m, n=n, q=q, tv=tv, bound_exact=1 - (1 - q**ell) ** m,
+                          bound_simple=m * q**ell)
 
 
 @dataclass(frozen=True)
@@ -231,33 +242,36 @@ class LimitRow:
     target: Scalar
 
 
-def _ground_row(m: int, n: int, q: Scalar, target: Scalar) -> LimitRow:
-    value = q_int(m - n + 1, q) ** n / scaled_partition_z(m, n, q)
-    scale = q ** binom2(n)
-    uncorrected = value / scale if scale else math.inf
-    return LimitRow(
-        m=m,
-        n=n,
-        value=value,
-        value_uncorrected=uncorrected,
-        target=target,
-    )
+def _limit_rows(q: Scalar, pairs, target: Scalar) -> list[LimitRow]:
+    """The ground-state rows of the (m, n) pairs, in their order, raising what evaluating
+    them one by one would. Each m comes with one n, and Z(m, n) / q^binom(n,2) is
+    R[m+1, m-n+1] (`scaled_partition_z`): one running R triangle is walked once, to the
+    largest m + 1, and only the entries read are reduced."""
+    todo = []
+    for m, n in pairs:
+        todo.append((m, n, q_int(m - n + 1, q) ** n))
+        if not 0 < q <= 1:
+            raise ValueError(f"need 0 < q <= 1, got q={q}")
+    wanted = {m + 1: m - n + 1 for m, n, _ in todo}
+    rows = _triangle_rows(max(wanted, default=0), q, "R")
+    zs = {r: _reduce(q, row[wanted[r]], binom2(r)) for r, row in enumerate(rows) if r in wanted}
+    values = [(m, n, power / zs[m + 1], q ** binom2(n)) for m, n, power in todo]
+    return [LimitRow(m, n, v, v / s if s else math.inf, target) for m, n, v, s in values]
 
 
 def limit_rows_fixed_n(n: int, q: Scalar, m_values) -> list[LimitRow]:
     """Ground-state probabilities for fixed n over a range of m; the target
     is the n-term product (q;q)_n."""
     target = q_pochhammer(n, q)
-    rows = []
-    for m in m_values:
-        if m < n:
-            raise ValueError(f"need m >= n, got m={m} n={n}")
-        rows.append(_ground_row(m, n, q, target))
-    return rows
+    def pairs():
+        for m in m_values:
+            if m < n:
+                raise ValueError(f"need m >= n, got m={m} n={n}")
+            yield m, n
+    return _limit_rows(q, pairs(), target)
 
 
 def limit_rows_growing_n(q: Scalar, n_values) -> list[LimitRow]:
     """Ground-state probabilities with m = 2n, so that m - n grows with n;
     the target is the full Euler product, truncated at tail 1e-9."""
-    target = euler_phi(q)
-    return [_ground_row(2 * n, n, q, target) for n in n_values]
+    return _limit_rows(q, ((2 * n, n) for n in n_values), euler_phi(q))

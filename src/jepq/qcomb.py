@@ -53,10 +53,10 @@ def _table(c: int, q: Scalar):
     return a, b, nums, powers(a), powers(b)
 
 
-def _reduce(q: Scalar, num, den: int) -> Scalar:
-    """num / den, reduced once: a `Fraction` for a `Fraction` q. An int or float q
-    has b = 1, so every den is 1 and the value is num itself."""
-    return num if isinstance(q, (int, float)) else Fraction(num, den)
+def _reduce(q: Scalar, num, e: int) -> Scalar:
+    """num / b^e, reduced once: a `Fraction` for a `Fraction` q. An int or float q
+    has b = 1, so the value is num itself."""
+    return num if isinstance(q, (int, float)) else Fraction(num, q.denominator**e)
 
 
 def q_int(k: int, q: Scalar) -> Scalar:
@@ -66,9 +66,8 @@ def q_int(k: int, q: Scalar) -> Scalar:
         raise ValueError(f"q_int needs k >= 0, got k={k}")
     if q < 0:
         raise ValueError(f"q_int needs q >= 0, got q={q}")
-    _, b, nums, _, _ = _table(k, q)
-    num = next(islice(nums, k, None))
-    return _reduce(q, num, b ** max(k - 1, 0))  # N_0 = 0 over any power of b
+    num = next(islice(_table(k, q)[2], k, None))
+    return _reduce(q, num, max(k - 1, 0))  # N_0 = 0 over any power of b
 
 
 def q_pochhammer(n: int, q: Scalar) -> Scalar:
@@ -76,9 +75,9 @@ def q_pochhammer(n: int, q: Scalar) -> Scalar:
     Over the table it is prod (b^k - a^k) / b^binom(n+1,2)."""
     if n < 0:
         raise ValueError(f"q_pochhammer needs n >= 0, got n={n}")
-    a, b, _, pows, bpows = _table(n, q)
+    a, _, _, pows, bpows = _table(n, q)
     num = prod(map(sub, islice(bpows, 1, None), islice(pows, 1, None)), start=1 + 0 * a)
-    return _reduce(q, num, b ** binom2(n + 1))
+    return _reduce(q, num, binom2(n + 1))
 
 
 def euler_phi_truncation(q: Scalar, eps: float) -> tuple[int, Scalar]:
@@ -116,21 +115,15 @@ def euler_phi(q: Scalar) -> Scalar:
     return q_pochhammer(n, q)
 
 
-@lru_cache(maxsize=4, typed=True)
-def _triangle(size: int, q: Scalar, kind: str) -> tuple[Scalar, ...]:
-    """Row ``size`` of the triangle X[r+1, j] = q^e X[r, j-1] + [j]_q X[r, j] with
+def _triangle_rows(size: int, q: Scalar, kind: str):
+    """Rows 0..size of the triangle X[r+1, j] = q^e X[r, j-1] + [j]_q X[r, j] with
     X[0, 0] = 1 and zero outside 0 <= j <= r, where e = j-1 for kind "S", 0 for "G"
-    and r+1-j for "R". It runs in integers over `_table`: row r is held over
-    b^binom(r,2), so over b^r its coefficients are q^e = a^e b^(r-e) and
-    [j]_q = N_j b^(r+1-j), and each entry is reduced once, at the end. The last few
-    rows are cached, keyed by the type of q as well as its value, so an exact caller
-    never gets a float row.
-    """
-    if size < 0 or q < 0:
-        raise ValueError(f"triangle needs size >= 0 and q >= 0, got size={size} q={q}")
+    and r+1-j for "R", in integers over `_table`: row r is held over b^binom(r,2), so
+    over b^r its coefficients are q^e = a^e b^(r-e) and [j]_q = N_j b^(r+1-j)."""
     a, b, *columns = _table(size, q)
     nums, pows, bpows = map(list, columns)
     zero, row, mono, qints = 0 * a, [pows[0]], [], []
+    yield row
     for r in range(size):
         if b != 1:  # the coefficients over b^r from those over b^(r-1)
             mono, qints = [x * b for x in mono], [x * b for x in qints]
@@ -139,8 +132,18 @@ def _triangle(size: int, q: Scalar, kind: str) -> tuple[Scalar, ...]:
         coefs = mono if kind == "S" else mono[::-1] if kind == "R" else [bpows[r]] * (r + 1)
         right = row[1:] + [zero]
         row = [zero] + [c * left + d * below for c, left, d, below in zip(coefs, row, qints, right)]
-    den = b ** binom2(size)
-    return tuple(_reduce(q, t, den) for t in row)
+        yield row
+
+
+@lru_cache(maxsize=4, typed=True)
+def _triangle(size: int, q: Scalar, kind: str) -> tuple[Scalar, ...]:
+    """Row ``size`` of `_triangle_rows`, each entry reduced once. The last few rows
+    are cached, keyed by the type of q as well as its value, so an exact caller
+    never gets a float row."""
+    if size < 0 or q < 0:
+        raise ValueError(f"triangle needs size >= 0 and q >= 0, got size={size} q={q}")
+    row = next(islice(_triangle_rows(size, q, kind), size, None))
+    return tuple(_reduce(q, t, binom2(size)) for t in row)
 
 
 def q_stirling(a: int, b: int, q: Scalar) -> Scalar:

@@ -83,16 +83,16 @@ def _check_scalar_identities(max_m: int, qs) -> tuple[bool, str]:
             if q_stirling(a, b, t) != t ** binom2(b) * gould_stirling(a, b, t):
                 return False, f"triangle relation at ({a},{b},{t})"
     for q in qs:
-        phi = euler_phi(q)
-        poch = power = 1 + 0 * q
+        # (q;q)_n = num / den with den = b^binom(n+1,2), compared by cross-multiplication
+        floor, poch = Fraction(euler_phi(q) - 1e-9), q_pochhammer(29, q)
+        a, b, num, den = q.numerator, q.denominator, 1, 1
         for n in range(1, 30):
-            prev, power = poch, power * q
-            poch = poch * (1 - power)
-            if n > 1 and not poch < prev:
+            prev, num, den = num * b**n, num * (b**n - a**n), den * b**n
+            if n > 1 and not num < prev:
                 return False, f"(q;q)_n not decreasing at n={n}, q={q}"
-            if poch < phi - 1e-9:
+            if num * floor.denominator < floor.numerator * den:
                 return False, f"(q;q)_n fell below the Euler product at n={n}"
-        if poch != q_pochhammer(29, q):
+        if num * poch.denominator != poch.numerator * den:
             return False, f"(q;q)_29 differs from its running product at q={q}"
     return True, "q-integer, triangle, and product identities hold"
 
@@ -156,7 +156,7 @@ def _check_extensions(max_m: int, qs) -> tuple[bool, str]:
                 counts = [m - n - x + k for k, x in enumerate(heights, start=1)]
                 if len(pairs) != math.prod(counts):
                     return False, f"extension count at B={heights}, m={m}"
-                if any(row_projection(c) != heights for c, _ in pairs):
+                if any(tuple([r for r, _ in c]) != heights for c, _ in pairs):  # rows ascend
                     return False, f"bad row projection at B={heights}"
                 # vacant heights above each particle: the gaps above it, summed
                 gaps = [above - x - 1 for x, above in zip(heights, heights[1:] + (m,))]

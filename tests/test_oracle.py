@@ -7,12 +7,14 @@ from jepq.jep import (
     BoundedGeometric,
     BoundedUniform,
     UnboundedGeometric,
+    _unbounded_probs,
     enumerate_states,
     stationary_distribution,
     stationary_prob,
 )
 from jepq.oracle import (
     ConvergenceRow,
+    LimitRow,
     TransitionMatrix,
     build_extended_matrix,
     build_transition_matrix,
@@ -22,7 +24,7 @@ from jepq.oracle import (
     total_variation,
     tv_to_unbounded,
 )
-from jepq.qcomb import euler_phi, q_pochhammer
+from jepq.qcomb import binom2, euler_phi, q_int, q_pochhammer, scaled_partition_z
 
 QS = (F(1, 3), F(1, 2), F(2, 3))
 
@@ -187,6 +189,84 @@ def test_tv_bound_chain_and_decay():
 def test_tv_specific_bound_instance():
     row = tv_to_unbounded(20, 3, F(1, 2))
     assert row.tv <= 20 * F(1, 2) ** 18
+
+
+def reference_tv(m, n, q):
+    """The distance summed over the two laws' dicts, as `tv_to_unbounded` did before
+    it cross-multiplied in integers (and still does for a float q)."""
+    mu = stationary_distribution(BoundedGeometric(m, n, q))
+    nu = _unbounded_probs(UnboundedGeometric(n, q), mu)
+    return total_variation(mu, nu, nu_tail=1 - sum(nu.values()))
+
+
+@pytest.mark.parametrize("q", (F(1, 3), F(1, 2), F(2, 3), F(9, 10)))
+def test_integer_tv_matches_fraction_reference(q):
+    for n in range(5):
+        for m in range(n, n + 9):
+            tv = tv_to_unbounded(m, n, q).tv
+            assert tv == reference_tv(m, n, q) and type(tv) is F
+
+
+def test_integer_tv_matches_fraction_reference_at_tiny_q():
+    q = F(1e-320)
+    for n in (1, 2):
+        for m in range(max(3, n), 6):
+            assert tv_to_unbounded(m, n, q).tv == reference_tv(m, n, q)
+
+
+@pytest.mark.parametrize("q", (0.3, 0.5, 0.9))
+def test_float_tv_keeps_its_bits(q):
+    for n in range(5):
+        for m in range(n, n + 9):
+            tv = tv_to_unbounded(m, n, q).tv
+            assert type(tv) is float and tv.hex() == reference_tv(m, n, q).hex()
+
+
+def reference_limit_row(m, n, q, target):
+    """One ground-state row from its own `scaled_partition_z` triangle row."""
+    value = q_int(m - n + 1, q) ** n / scaled_partition_z(m, n, q)
+    scale = q ** binom2(n)
+    return LimitRow(m, n, value, value / scale if scale else math.inf, target)
+
+
+def assert_same_rows(rows, reference):
+    # exact equality in q's own type, so float rows agree bit for bit
+    assert rows == reference
+    for row, ref in zip(rows, reference):
+        assert [type(v) for v in vars(row).values()] == [type(v) for v in vars(ref).values()]
+
+
+@pytest.mark.parametrize("q", (F(1, 2), F(2, 3), 0.5, 0.3, 1e-200, F(1)))
+def test_limit_rows_match_per_m_reference(q):
+    for n, m_values in ((3, range(3, 30)), (2, [9, 4, 9, 2, 17, 5, 5]), (0, [3, 0, 1])):
+        target = q_pochhammer(n, q)
+        assert_same_rows(
+            limit_rows_fixed_n(n, q, m_values),
+            [reference_limit_row(m, n, q, target) for m in m_values],
+        )
+    if q < 1:
+        for n_values in (range(1, 20), [6, 2, 6, 1, 0, 11]):
+            assert_same_rows(
+                limit_rows_growing_n(q, n_values),
+                [reference_limit_row(2 * n, n, q, euler_phi(q)) for n in n_values],
+            )
+
+
+def test_limit_rows_raise_in_the_order_of_their_arguments():
+    # each m is checked against n, then q, in the order given; no m, no check
+    assert limit_rows_fixed_n(3, F(2), []) == []
+    with pytest.raises(ValueError, match="need 0 < q <= 1, got q=2"):
+        limit_rows_fixed_n(3, F(2), [5, 2])
+    with pytest.raises(ValueError, match="need m >= n, got m=2 n=3"):
+        limit_rows_fixed_n(3, F(2), [2, 5])
+    with pytest.raises(ValueError, match="q_int needs q >= 0"):
+        limit_rows_fixed_n(3, F(-1, 2), [5])
+    with pytest.raises(ValueError, match="q_pochhammer needs n >= 0"):
+        limit_rows_fixed_n(-1, F(1, 2), [5])
+    with pytest.raises(ValueError, match="need 0 < q < 1"):
+        limit_rows_growing_n(F(1), [3])
+    with pytest.raises(ValueError, match="needs over 496 factors"):
+        limit_rows_growing_n(F(99999, 100000), [3])
 
 
 def test_limit_rows_fixed_n():

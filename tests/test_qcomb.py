@@ -3,7 +3,9 @@ from fractions import Fraction as F
 import pytest
 
 from jepq.qcomb import (
+    _reduce,
     _triangle,
+    _triangle_rows,
     binom2,
     euler_phi,
     euler_phi_truncation,
@@ -192,6 +194,18 @@ def test_triangle_rows_match_per_entry_reference(q, kind):
         # exact equality, so float rows agree bit for bit
         assert list(row) == reference
         assert [type(v) for v in row] == [type(v) for v in reference]
+
+
+@pytest.mark.parametrize("q", (F(1, 3), F(1, 2), F(2, 3), F(1), 1, 0.5))
+@pytest.mark.parametrize("kind", sorted(EXPONENTS))
+def test_running_rows_match_triangle(q, kind):
+    # row r of one walk, reduced over b^binom(r,2), is the row `_triangle` builds alone
+    rows = list(_triangle_rows(12, q, kind))
+    assert len(rows) == 13
+    for r, row in enumerate(rows):
+        reduced = [_reduce(q, t, binom2(r)) for t in row]
+        assert reduced == list(_triangle(r, q, kind))
+        assert [type(v) for v in reduced] == [type(v) for v in _triangle(r, q, kind)]
 
 
 @pytest.mark.parametrize("loose", (0.5, 1))

@@ -144,3 +144,17 @@ def test_certified_check_catches_what_sampling_misses(check, monkeypatch):
     monkeypatch.setattr(verify, attr, perturbed)
     results = verify.run_checks(max_m=3)
     assert [r.name for r in results if not r.passed] == [check]
+
+
+@pytest.mark.parametrize("q", (F(3, 7), F(1e-320)))
+def test_euler_products_hold_at_an_exact_q(q):
+    passed, detail = verify._check_scalar_identities(3, (q,))
+    assert passed, detail
+
+
+def test_running_product_is_compared_exactly(monkeypatch):
+    # (q;q)_29 off by far less than any float could show still fails the check
+    original = verify.q_pochhammer
+    monkeypatch.setattr(verify, "q_pochhammer", lambda n, q: original(n, q) + F(1, 10**300))
+    passed, detail = verify._check_scalar_identities(3, verify.DEFAULT_QS)
+    assert not passed and detail.startswith("(q;q)_29 differs from its running product")

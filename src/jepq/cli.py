@@ -4,8 +4,7 @@ Subcommands: stationary, verify, simulate, converge, limits, rook; each
 accepts only the options it reads (see `_COMMANDS`). Output is JSON
 (verify defaults to text lines) or CSV; every rational quantity is
 emitted both as an exact "p/r" string and as a float, so reports can be
-re-parsed without losing exactness. The environment variable
-JEPQ_STATE_CAP overrides the default cap on enumerated state-space sizes.
+re-parsed without losing exactness.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parameter error,
 3 internal error.
@@ -27,14 +26,13 @@ from .jep import (
     UnboundedGeometric,
     _numerators,
     _unbounded_probs,
+    check_state_cap,
     closed_form_stats,
     enumerate_states,
     stationary_distribution,
 )
 from .mc import empirical_distribution, simulate
 from .oracle import (
-    DEFAULT_STATE_CAP,
-    check_state_cap,
     limit_rows_fixed_n,
     limit_rows_growing_n,
     total_variation,
@@ -44,19 +42,6 @@ from .rook import circ_histogram
 from .verify import DEFAULT_QS, run_checks
 
 __all__ = ["main"]
-
-
-def _state_cap() -> int:
-    raw = os.environ.get("JEPQ_STATE_CAP")
-    if not raw:
-        return DEFAULT_STATE_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"JEPQ_STATE_CAP must be a positive integer, got {raw!r}")
-    return cap
 
 
 def _state_key(state) -> str:
@@ -128,9 +113,8 @@ def _cmd_stationary(args) -> int:
     if args.model == "unbounded-geometric":
         raise ValueError("stationary tables need a bounded model")
     model = _build_model(args)
-    check_state_cap(model.m, model.n, args.state_cap)
-    z = partition_z(model.m, model.n, model.q)
     div, scale, stream = _numerators(model.m, model.n, model.q, enumerate_states(model.m, model.n))
+    z = partition_z(model.m, model.n, model.q)
     rows, z_scaled = [], z * scale
     for state, w in stream:
         weight, prob = div(w, scale), div(w, z_scaled)
@@ -152,9 +136,6 @@ def _cmd_stationary(args) -> int:
 
 def _cmd_verify(args) -> int:
     qs = (args.q_value,) if args.q else DEFAULT_QS
-    # the circ and extension checks walk every placement up to max-m
-    for n in range(args.max_m + 1):
-        check_state_cap(args.max_m, n, args.state_cap, placements=True)
     results = run_checks(max_m=args.max_m, qs=qs)
     if args.format == "text":
         with _destination(args) as handle:
@@ -189,7 +170,7 @@ def _cmd_simulate(args) -> int:
         )
     else:
         try:
-            check_state_cap(model.m, model.n, args.state_cap)
+            check_state_cap(model.m, model.n)
         except ValueError:
             # The exact law is only needed for the TV; over the cap it is skipped.
             summary["tv_empirical_vs_exact"] = None
@@ -206,9 +187,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_converge(args) -> int:
     lo, hi = args.m_range
+    UnboundedGeometric(args.n, args.q_value)  # checks n and q, even for an empty range
     rows = []
     for m in range(max(lo, args.n), hi + 1):
-        row = tv_to_unbounded(m, args.n, args.q_value, state_cap=args.state_cap)
+        row = tv_to_unbounded(m, args.n, args.q_value)
         rows.append((
             m, args.n, _scalar_cell(args.q_value), _scalar_cell(row.tv), float(row.tv),
             float(row.bound_exact), float(row.bound_simple),
@@ -221,6 +203,7 @@ def _cmd_converge(args) -> int:
 def _cmd_limits(args) -> int:
     lo, hi = args.m_range
     if args.n is not None:
+        BoundedGeometric(0, 0, args.q_value)  # checks 0 < q <= 1, even for an empty range
         rows = limit_rows_fixed_n(args.n, args.q_value, range(max(lo, args.n), hi + 1))
         mode = "fixed-n"
     else:
@@ -249,7 +232,6 @@ def _cmd_limits(args) -> int:
 
 
 def _cmd_rook(args) -> int:
-    check_state_cap(args.m, args.n, args.state_cap, placements=True)
     histogram = circ_histogram(args.m, args.n)
     total = sum(count * args.q_value**value for value, count in histogram.items())
     gould = gould_stirling(args.m + 1, args.m - args.n + 1, args.q_value)
@@ -350,7 +332,7 @@ def main(argv=None) -> int:
         except OverflowError:
             parser.error(f"q={args.q!r} exceeds the float range")
     try:
-        args.state_cap = _state_cap()
+        check_state_cap(0, 0)  # a malformed JEPQ_STATE_CAP fails before any command runs
         code = args.handler(args)
         sys.stdout.flush()  # so a closed stdout is caught below, not at exit
         return code

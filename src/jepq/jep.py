@@ -11,15 +11,18 @@ truncated geometric law at q = 1.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 from typing import Union
 
-from .qcomb import Scalar, _table, binom2, partition_z, q_int, q_pochhammer
+from .qcomb import Scalar, _table, binom2, gould_stirling, partition_z, q_int, q_pochhammer
 
 State = tuple[int, ...]
+DEFAULT_STATE_CAP = 100_000
 
 __all__ = [
     "State",
@@ -101,10 +104,32 @@ class SteadyStats:
     throw_fraction_uncorrected: Scalar
 
 
+def check_state_cap(m: int, n: int, placements: bool = False) -> None:
+    """Raise ValueError when the height sets of n particles on {0..m-1}, or with ``placements``
+    the n-rook placements on the board of height m, outnumber the state cap (`_check_size`)."""
+    count = gould_stirling(m + 1, m + 1 - n, 1) if placements else comb(m, n)
+    _check_size(count, "extended state space" if placements else "state space")
+
+
+def _check_size(count: int, kind: str) -> None:
+    """The one home of the state cap, which every enumeration checks before it builds a list:
+    JEPQ_STATE_CAP when set and not empty, else DEFAULT_STATE_CAP. A malformed cap always raises."""
+    raw = os.environ.get("JEPQ_STATE_CAP")
+    try:
+        cap = int(raw) if raw else DEFAULT_STATE_CAP
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"JEPQ_STATE_CAP must be a positive integer, got {raw!r}")
+    if count > cap:
+        raise ValueError(f"{kind} size {count} exceeds cap {cap}")
+
+
 def enumerate_states(m: int, n: int) -> list[State]:
     """All n-subsets of {0..m-1} as sorted tuples, in lexicographic order."""
     if not 0 <= n <= m:
         raise ValueError(f"need 0 <= n <= m, got m={m} n={n}")
+    check_state_cap(m, n)
     return list(combinations(range(m), n))
 
 

@@ -8,31 +8,29 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .qcomb import (
     Scalar,
     binom2,
     euler_phi,
-    gould_stirling,
     _reduce,
     _triangle_rows,
     q_int,
     q_pochhammer,
 )
-from .jep import (
+from .jep import (  # the state cap lives in jep and is re-exported here
+    DEFAULT_STATE_CAP,
     BoundedGeometric,
     ThrowModel,
     UnboundedGeometric,
     _numerators,
     _unbounded_probs,
+    check_state_cap,
     enumerate_states,
     stationary_distribution,
     step_kernel_row,
 )
 from .rook import _extended_rows, enumerate_configs
-
-DEFAULT_STATE_CAP = 100_000
 
 __all__ = [
     "DEFAULT_STATE_CAP",
@@ -48,20 +46,6 @@ __all__ = [
     "limit_rows_fixed_n",
     "limit_rows_growing_n",
 ]
-
-
-def check_state_cap(m: int, n: int, state_cap: int, placements: bool = False) -> None:
-    """Raise ValueError when the number of height sets of n particles on
-    {0..m-1}, or with ``placements`` the number of n-rook placements on the
-    board of height m, exceeds ``state_cap``."""
-    if placements:
-        count = gould_stirling(m + 1, m + 1 - n, 1)
-        kind = "extended state space"
-    else:
-        count = comb(m, n)
-        kind = "state space"
-    if count > state_cap:
-        raise ValueError(f"{kind} size {count} exceeds cap {state_cap}")
 
 
 class TransitionMatrix:
@@ -95,14 +79,12 @@ def build_transition_matrix(model: ThrowModel) -> TransitionMatrix:
     """Assemble the full kernel of a bounded model over all its states."""
     if isinstance(model, UnboundedGeometric):
         raise ValueError("unbounded model has an infinite state space")
-    check_state_cap(model.m, model.n, DEFAULT_STATE_CAP)
     states = enumerate_states(model.m, model.n)
     return TransitionMatrix(states, [step_kernel_row(s, model) for s in states])
 
 
 def build_extended_matrix(m: int, n: int, q: Scalar) -> TransitionMatrix:
     """Assemble the kernel of the extended rook chain on the board of height m."""
-    check_state_cap(m, n, DEFAULT_STATE_CAP, placements=True)
     configs = enumerate_configs(m, n)
     return TransitionMatrix(configs, _extended_rows(m, n, configs, q))
 
@@ -196,7 +178,7 @@ class ConvergenceRow:
     bound_simple: Scalar
 
 
-def tv_to_unbounded(m: int, n: int, q: Scalar, state_cap: int = DEFAULT_STATE_CAP) -> ConvergenceRow:
+def tv_to_unbounded(m: int, n: int, q: Scalar) -> ConvergenceRow:
     """Exact total variation between the bounded law at (m, n, q) and the
     unbounded law with the same n and q.
 
@@ -206,9 +188,9 @@ def tv_to_unbounded(m: int, n: int, q: Scalar, state_cap: int = DEFAULT_STATE_CA
     one integer sum, reduced once: mu = W / S with S = sum W (`jep._numerators`), and
     nu = V / L with V = P a^s b^(top-s), L = D b^top, where (q;q)_n = P / D,
     s = sum(x) - binom(n,2) and top = n(m-n). A float q sums the float laws, as the
-    integer form would round differently and cancel when TV is small.
+    integer form would round differently and cancel when TV is small. Either way the
+    binom(m, n) height sets are enumerated, so over the state cap it raises ValueError.
     """
-    check_state_cap(m, n, state_cap)
     bounded, unbounded = BoundedGeometric(m, n, q), UnboundedGeometric(n, q)  # validate first
     if isinstance(q, float):
         mu = stationary_distribution(bounded)

@@ -16,9 +16,10 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterator
 from itertools import chain, combinations
+from math import prod
 
 from .qcomb import Scalar, gould_stirling
-from .jep import State, truncated_geometric_pmf
+from .jep import State, _check_size, check_state_cap, truncated_geometric_pmf
 
 Cell = tuple[int, int]
 RookConfig = tuple[Cell, ...]
@@ -94,6 +95,7 @@ def _placements_with_circ(m: int, n: int) -> Iterator[tuple[RookConfig, int]]:
     row set's list at a time, so a histogram never holds them all."""
     if not 0 <= n <= m:
         raise ValueError(f"need 0 <= n <= m, got m={m} n={n}")
+    check_state_cap(m, n, placements=True)
     return chain.from_iterable(_extensions_with_circ(rows, m) for rows in combinations(range(m), n))
 
 
@@ -102,8 +104,10 @@ def _extensions_with_circ(heights: State, m: int) -> list[tuple[RookConfig, int]
     grown a row at a time from the top: (placement, used columns as a bitmask, circ so far)."""
     if len(set(heights)) != len(heights) or not all(0 <= h < m for h in heights):
         raise ValueError(f"heights {heights} must be distinct rows of the board of height {m}")
+    rows = sorted(heights, reverse=True)  # the j-th from the top has m - r - j free columns
+    _check_size(prod(m - r - j for j, r in enumerate(rows)), "extension set")
     level = [((), 0, 0)]
-    for r in sorted(heights, reverse=True):
+    for r in rows:
         cells = [(((r, c),), 1 << c) for c in range(m - 1 - r, -1, -1)]
         grown = []
         for acc, used, count in level:
@@ -156,8 +160,9 @@ def extended_distribution(m: int, n: int, q: Scalar) -> dict[RookConfig, Scalar]
     """The extended stationary law over `enumerate_configs(m, n)`: each
     weight q^(-circ) divided by one Gould triangle value G[m+1, m-n+1] at
     base 1/q."""
+    walk = _placements_with_circ(m, n)  # checks the cap before the triangle work
     z = gould_stirling(m + 1, m - n + 1, 1 / q)
-    return {c: q**-v / z for c, v in sorted(_placements_with_circ(m, n))}
+    return {c: q**-v / z for c, v in sorted(walk)}
 
 
 def extended_ground(n: int) -> RookConfig:

@@ -24,6 +24,7 @@ from .jep import (
     BoundedGeometric,
     _step,
     _unbounded_probs,
+    check_state_cap,
     closed_form_stats,
     enumerate_states,
     stationary_distribution,
@@ -281,6 +282,9 @@ def run_checks(max_m: int = 6, qs=DEFAULT_QS) -> list[CheckResult]:
     """Run every identity suite up to the given size; exact throughout."""
     if max_m < 3:
         raise ValueError("max_m below 3 would skip the anchor cases")
+    for n in range(max_m + 1):  # the placements at max_m, the most that any check walks
+        check_state_cap(max_m, n, placements=True)
+    check_state_cap(12, 3)  # the unbounded height sets of balance-residuals
     qs = tuple(Fraction(q) for q in qs)
     for q in qs:
         if not 0 < q < 1:

@@ -371,6 +371,30 @@ def exit_code(argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        "converge --n 5 --q 2 --m-range 1:4",
+        "converge --n 5 --q 1 --m-range 1:4",
+        "limits --n 5 --q 2 --m-range 1:4",
+        "limits --n 5 --q 0 --m-range 1:4",
+    ],
+)
+def test_an_empty_m_range_still_checks_q(argv, capsys):
+    # every m of the range is below n, so no row is built to check q
+    assert exit_code(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("jepq: error: need 0 < q") and err.count("\n") == 1
+
+
+def test_an_empty_m_range_with_valid_parameters_is_an_empty_table():
+    for argv in ("converge --n 5 --q 1/2 --m-range 1:4", "limits --n 5 --q 1 --m-range 1:4"):
+        code, out = run_cli(argv.split())
+        assert code == 0
+        assert json.loads(out)["rows"] == []
+
+
+@pytest.mark.parametrize(
     "argv, code",
     [
         # an option the command does not read is a usage error
@@ -460,6 +484,10 @@ def test_verify_respects_state_cap(monkeypatch, capsys):
     assert out == ""
     err = capsys.readouterr().err
     assert err.startswith("jepq: error: ") and err.count("\n") == 1
+    # the placements at --max-m 3 fit, but balance-residuals' 220 height sets do not
+    monkeypatch.setenv("JEPQ_STATE_CAP", "100")
+    assert run_cli(["verify", "--max-m", "3"]) == (2, "")
+    assert capsys.readouterr().err == "jepq: error: state space size 220 exceeds cap 100\n"
 
 
 # Each argv below once ended, or could end, in a traceback; "{missing}" is a

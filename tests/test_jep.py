@@ -1,6 +1,8 @@
+import re
 from dataclasses import astuple
 from fractions import Fraction as F
 from itertools import combinations
+from time import perf_counter
 
 import pytest
 
@@ -21,8 +23,14 @@ from jepq.jep import (
     truncated_geometric_pmf,
     validate_state,
 )
-from jepq.oracle import build_transition_matrix, solve_stationary
+from jepq.oracle import (
+    build_extended_matrix,
+    build_transition_matrix,
+    solve_stationary,
+    tv_to_unbounded,
+)
 from jepq.qcomb import binom2, partition_z, q_int, q_pochhammer
+from jepq.rook import circ_histogram, enumerate_configs, extended_distribution, extensions
 
 QS = (F(1, 3), F(1, 2), F(2, 3))
 
@@ -364,3 +372,85 @@ def test_rook_connection_identity():
                         direct *= q_int(1 + vacant, 1 / q)
                         indexed *= q_int(m - n - x + k, 1 / q)
                     assert direct == indexed
+
+
+def test_unbounded_weight_is_a_power_of_q():
+    q = F(1, 3)
+    for n in (0, 1, 3):
+        model = UnboundedGeometric(n, q)
+        normalizer = q_pochhammer(n, q) * q ** -binom2(n)
+        for state in combinations(range(7), n):
+            weight = stationary_weight(state, model)
+            assert weight == q ** sum(state)
+            assert stationary_prob(state, model) / weight == normalizer
+
+
+# (call, the start of its error message)
+REJECTIONS = [
+    (lambda: stationary_distribution(UnboundedGeometric(2, F(1, 2))), "unbounded law has infinite"),
+    (lambda: closed_form_stats(3, 0, F(1, 2)), "need 1 <= n <= m, got m=3 n=0"),
+    (lambda: UnboundedGeometric(-1, F(1, 2)), "need n >= 0, got n=-1"),
+    (lambda: enumerate_states(2, 3), "need 0 <= n <= m, got m=2 n=3"),
+    (lambda: validate_state((0,), BoundedUniform(3, 2)), "state (0,) has 1 particles, model needs 2"),
+    (lambda: validate_state((-1, 2), BoundedUniform(3, 2)), "negative height in (-1, 2)"),
+    (lambda: theta({1}, -1), "need x >= 0, got x=-1"),
+    (lambda: truncated_geometric_pmf(3, 2), "need 0 < q <= 1, got q=2"),
+]
+
+
+@pytest.mark.parametrize("call, message", REJECTIONS)
+def test_bad_arguments_are_rejected(call, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        call()
+
+
+Q = F(1, 2)
+# every public function that enumerates height sets or rook placements, at (m, n)
+ENUMERATIONS = {
+    "enumerate_states": lambda m, n: enumerate_states(m, n),
+    "stationary_weights": lambda m, n: stationary_weights(BoundedGeometric(m, n, Q)),
+    "stationary_distribution": lambda m, n: stationary_distribution(BoundedGeometric(m, n, Q)),
+    "build_transition_matrix": lambda m, n: build_transition_matrix(BoundedGeometric(m, n, Q)),
+    "tv_to_unbounded": lambda m, n: tv_to_unbounded(m, n, Q),
+    "tv_to_unbounded_float": lambda m, n: tv_to_unbounded(m, n, 0.5),
+    "enumerate_configs": lambda m, n: enumerate_configs(m, n),
+    "circ_histogram": lambda m, n: circ_histogram(m, n),
+    "extensions": lambda m, n: extensions(tuple(range(n)), m),
+    "extended_distribution": lambda m, n: extended_distribution(m, n, Q),
+    "build_extended_matrix": lambda m, n: build_extended_matrix(m, n, Q),
+}
+
+
+@pytest.mark.parametrize("name", ENUMERATIONS)
+def test_every_enumeration_respects_the_state_cap(name, monkeypatch):
+    enumerate_ = ENUMERATIONS[name]
+    # at (5, 2): 10 height sets, S(6, 4) = 65 placements, 4 * 4 extensions of (0, 1)
+    monkeypatch.setenv("JEPQ_STATE_CAP", "5")
+    with pytest.raises(ValueError, match="exceeds cap 5$"):
+        enumerate_(5, 2)
+    monkeypatch.setenv("JEPQ_STATE_CAP", "1000")
+    enumerate_(5, 2)
+    # an over-cap size is refused before any triangle or list is built
+    start = perf_counter()
+    with pytest.raises(ValueError, match="exceeds cap 1000$"):
+        enumerate_(60, 30)
+    assert perf_counter() - start < 0.1
+
+
+def test_builders_follow_the_environment(monkeypatch):
+    # with the default lowered, only JEPQ_STATE_CAP admits these sizes
+    monkeypatch.setattr(jep, "DEFAULT_STATE_CAP", 5)
+    with pytest.raises(ValueError, match="state space size 10 exceeds cap 5$"):
+        build_transition_matrix(BoundedGeometric(5, 2, Q))
+    with pytest.raises(ValueError, match="extended state space size 65 exceeds cap 5$"):
+        build_extended_matrix(5, 2, Q)
+    monkeypatch.setenv("JEPQ_STATE_CAP", "65")
+    assert len(build_transition_matrix(BoundedGeometric(5, 2, Q))) == 10
+    assert len(build_extended_matrix(5, 2, Q)) == 65
+
+
+@pytest.mark.parametrize("raw", ("abc", "0", "-5", "1.5"))
+def test_a_malformed_cap_always_raises(raw, monkeypatch):
+    monkeypatch.setenv("JEPQ_STATE_CAP", raw)
+    with pytest.raises(ValueError, match=f"^JEPQ_STATE_CAP must be a positive integer, got {raw!r}$"):
+        enumerate_states(0, 0)

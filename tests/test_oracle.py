@@ -134,6 +134,19 @@ def test_solve_accepts_mixed_int_and_fraction_rows():
     assert_exact_law(pi)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: TransitionMatrix(["x", "y"], [{"x": 1}]), "one row per state required"),
+        (lambda: solve_stationary(TransitionMatrix([], [])), "empty state space"),
+        (lambda: total_variation({"a": F(1)}, {"a": F(1)}, nu_tail=F(-1, 2)), "negative tail mass"),
+    ],
+)
+def test_bad_arguments_are_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_total_variation_basics():
     assert total_variation({"a": F(1)}, {"a": F(1)}) == 0
     assert total_variation({"a": F(1)}, {"b": F(1)}) == 1

@@ -2,7 +2,11 @@
 
 Every case shifts one closed form that a single check compares, by a
 small amount, and asserts that this check alone fails, that `jepq verify`
-exits 1, and that every FAIL line names the check.
+exits 1, and that every FAIL line names the check. `BRANCHES` and the
+single-branch tests reach the other FAIL branches, one injection each, but one:
+`(q;q)_n not decreasing` in `scalar-identities` reads only the check's own
+integers (num * (b^n - a^n) < num * b^n for 0 < a < b), so no injected
+library value can reach it.
 """
 
 import dataclasses
@@ -71,6 +75,77 @@ def test_each_check_can_fail(check, monkeypatch, capsys):
     fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
     assert fails
     assert all(line.startswith(f"FAIL {check}: ") for line in fails)
+
+
+def _rotate_values(law):
+    """The same values, each moved to the next key: still normalized, no longer stationary."""
+    values = list(law.values())
+    return dict(zip(law, values[1:] + values[:1]))
+
+
+# (check, name in jepq.verify, perturbation of its result given its arguments, detail prefix)
+# for each FAIL branch that `INJECTIONS` does not reach
+BRANCHES = [
+    ("scalar-identities", "q_int",  # [k] at base 1/q, an integer Fraction
+     lambda v, k, q: v + EPS if isinstance(q, F) and q > 1 else v, "[1] reciprocal identity"),
+    ("scalar-identities", "q_int",  # doubling both sides keeps the reciprocal identity
+     lambda v, k, q: 2 * v if isinstance(q, F) else v, "[1] ratio identity"),
+    ("scalar-identities", "q_stirling",
+     lambda v, a, b, q: v + 1 if q == 1 else v, "classical limit at (0,0)"),
+    ("scalar-identities", "gould_stirling",
+     lambda v, a, b, q: v + 1 if q == 1 else v, "classical Gould limit at (0,0)"),
+    ("scalar-identities", "q_stirling",  # normalization reads a <= max_m + 1 = 4 only
+     lambda v, a, b, q: v + 1 if q > 1 and a > 4 else v, "triangle relation at (5,"),
+    ("normalization", "partition_z",  # the anchors are at m = 2, 3
+     lambda z, m, n, q: z + EPS if m == 0 and q != 1 else z, "scaled vs literal Z at (0,0,"),
+    ("normalization", "stationary_weights",
+     lambda weights, model: _bump_first(weights), "weight sum != Z at (1,1,"),
+    ("circ-statistic", "circ_histogram",
+     lambda histogram, m, n: {**histogram, 0: histogram[0] + 1}, "config count at (m=0, n=0)"),
+    ("extension-sums", "_extensions_with_circ",
+     lambda pairs, heights, m: pairs[:-1], "extension count at B=(), m=1"),
+    ("extension-sums", "_extensions_with_circ",
+     lambda pairs, heights, m: [(config[::-1], value) for config, value in pairs],
+     "bad row projection at B=(0, 1)"),
+    ("extended-chain", "path_to_ground",
+     lambda path, m, config: [*path, None], "ground unreachable from ()"),
+    ("extended-chain", "extended_distribution",
+     lambda law, m, n, q: {c: 2 * p for c, p in law.items()}, "extended law not normalized at (1,0,"),
+    ("extended-chain", "extended_distribution",
+     lambda law, m, n, q: _rotate_values(law), "extended law not stationary at (2,1,"),
+    ("extended-chain", "row_projection",
+     lambda rows, config: rows[::-1], "row projection off at (2,2,"),
+    ("throw-fraction", "closed_form_stats",
+     lambda stats, m, n, q: dataclasses.replace(
+         stats, throw_fraction_uncorrected=stats.throw_fraction
+     ), "uncorrected form should exceed 1 at (3,2,1/2)"),
+    ("tv-bounds", "tv_to_unbounded",
+     lambda row, m, n, q: dataclasses.replace(row, tv=row.tv + 1), "bound chain broken at (m=1, n=1,"),
+]
+
+
+@pytest.mark.parametrize("check, attr, perturb, prefix", BRANCHES)
+def test_each_fail_branch_is_reached(check, attr, perturb, prefix, monkeypatch):
+    original = getattr(verify, attr)
+    monkeypatch.setattr(
+        verify, attr, lambda *args, **kwargs: perturb(original(*args, **kwargs), *args)
+    )
+    failed = [(r.name, r.detail) for r in verify.run_checks(max_m=3) if not r.passed]
+    assert [name for name, _ in failed] == [check]
+    assert failed[0][1].startswith(prefix), failed[0][1]
+
+
+def test_run_checks_refuses_a_cap_below_its_enumerations(monkeypatch):
+    # balance-residuals enumerates the 220 height sets of 3 particles below 12
+    monkeypatch.setenv("JEPQ_STATE_CAP", "100")
+    with pytest.raises(ValueError, match="^state space size 220 exceeds cap 100$"):
+        verify.run_checks(max_m=3)
+    monkeypatch.setenv("JEPQ_STATE_CAP", "300")  # S(7, 4) = 350 placements at max_m = 6
+    with pytest.raises(ValueError, match="^extended state space size 350 exceeds cap 300$"):
+        verify.run_checks(max_m=6)
+    # at the guard's own bound every check runs, and none meets the cap
+    monkeypatch.setenv("JEPQ_STATE_CAP", "220")
+    assert all(r.passed for r in verify.run_checks(max_m=5))
 
 
 def test_bounded_balance_can_fail(monkeypatch):

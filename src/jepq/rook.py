@@ -78,21 +78,36 @@ def circ(m: int, rooks: RookConfig) -> int:
 
 
 def circ_histogram(m: int, n: int) -> dict[int, int]:
-    """How many placements of n rooks on the board of height m have each
-    circ value, in increasing circ order. Its generating sum in q is the
-    Gould triangle value G[m+1, m-n+1]."""
-    return dict(sorted(Counter(value for _, value in _placements_with_circ(m, n)).items()))
+    """How many placements of n rooks on the board of height m have each circ value, in increasing
+    circ order, counted over groups of partial placements with no placement listed. Its generating
+    sum in q is the Gould triangle value G[m+1, m-n+1]."""
+    _placements_with_circ(m, n)  # checks n, then the cap; it lists nothing until iterated
+    groups = {(0, 0): 1}  # (used columns as a bitmask, circ so far): one key, one set of completions
+    for r in range(m - 1, -1, -1):  # from the top row down, by the rule of `circ`
+        above, groups = groups, {}
+        for (used, value), count in above.items():
+            if used.bit_count() + r >= n:  # the r rows below can still take the rooks left
+                groups[used, value] = groups.get((used, value), 0) + count
+            for c in range(m - 1 - r, -1, -1) if used.bit_count() < n else ():
+                if not used >> c & 1:
+                    groups[used | 1 << c, value] = groups.get((used | 1 << c, value), 0) + count
+                    value += 1  # the column is free and right of every later choice
+    histogram = Counter()
+    for (_, value), count in groups.items():
+        histogram[value] += count
+    return dict(sorted(histogram.items()))
 
 
 def extensions(heights: State, m: int) -> list[RookConfig]:
-    """All placements whose rook rows equal ``heights``: every consistent
-    assignment of elapsed flight times to the given remaining flight times."""
+    """All placements whose rook rows equal ``heights``: every consistent assignment of elapsed
+    flight times to these remaining flight times. Row r, j-th from the top, has m-r-j choices."""
+    _check_size(prod(m - r - j for j, r in enumerate(sorted(heights, reverse=True))), "extension set")
     return sorted(config for config, _ in _extensions_with_circ(heights, m))
 
 
 def _placements_with_circ(m: int, n: int) -> Iterator[tuple[RookConfig, int]]:
-    """Every placement of n rooks on the board of height m, with its circ, one
-    row set's list at a time, so a histogram never holds them all."""
+    """Every placement of n rooks on the board of height m, with its circ, one row set's list
+    at a time. It checks n and then the cap when called, before any placement is walked."""
     if not 0 <= n <= m:
         raise ValueError(f"need 0 <= n <= m, got m={m} n={n}")
     check_state_cap(m, n, placements=True)
@@ -101,13 +116,12 @@ def _placements_with_circ(m: int, n: int) -> Iterator[tuple[RookConfig, int]]:
 
 def _extensions_with_circ(heights: State, m: int) -> list[tuple[RookConfig, int]]:
     """Every placement whose rook rows equal ``heights``, with its circ by the rule of `circ`,
-    grown a row at a time from the top: (placement, used columns as a bitmask, circ so far)."""
+    grown a row at a time from the top: (placement, used columns as a bitmask, circ so far). Its
+    callers check the cap, on the whole walk's size or, in `extensions`, on this set's."""
     if len(set(heights)) != len(heights) or not all(0 <= h < m for h in heights):
         raise ValueError(f"heights {heights} must be distinct rows of the board of height {m}")
-    rows = sorted(heights, reverse=True)  # the j-th from the top has m - r - j free columns
-    _check_size(prod(m - r - j for j, r in enumerate(rows)), "extension set")
     level = [((), 0, 0)]
-    for r in rows:
+    for r in sorted(heights, reverse=True):
         cells = [(((r, c),), 1 << c) for c in range(m - 1 - r, -1, -1)]
         grown = []
         for acc, used, count in level:

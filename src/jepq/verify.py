@@ -157,17 +157,18 @@ def _check_extensions(max_m: int, qs) -> tuple[bool, str]:
                 counts = [m - n - x + k for k, x in enumerate(heights, start=1)]
                 if len(pairs) != math.prod(counts):
                     return False, f"extension count at B={heights}, m={m}"
-                if any(tuple([r for r, _ in c]) != heights for c, _ in pairs):  # rows ascend
+                rows = [r for c, _ in pairs for r, _ in c]  # every placement: n rows, heights in order
+                if {len(c) for c, _ in pairs} - {n} or rows != [*heights] * len(pairs):
                     return False, f"bad row projection at B={heights}"
                 # vacant heights above each particle: the gaps above it, summed
                 gaps = [above - x - 1 for x, above in zip(heights, heights[1:] + (m,))]
                 lengths = [1 + v for v in accumulate(reversed(gaps))]
                 # in 1/q all three sides are nonnegative: t = 1 + their values at q = 1
                 t = 1 + len(pairs) + math.prod(counts) + math.prod(lengths)
-                histogram = Counter(value for _, value in pairs)
+                histogram = Counter([value for _, value in pairs])
                 total = sum(count * t**value for value, count in histogram.items())
-                product = math.prod(q_int(c, t) for c in counts)
-                direct = math.prod(q_int(c, t) for c in lengths)
+                q_ints = {c: q_int(c, t) for c in {*counts, *lengths}}  # one per distinct c
+                product, direct = (math.prod(map(q_ints.get, side)) for side in (counts, lengths))
                 if total != product or product != direct:
                     return False, f"extension sum at B={heights}, q={Fraction(1, t)}"
     return True, f"extension sums match the vacancy products through m={max_m}"

@@ -196,6 +196,11 @@ def test_simulate_output_pinned(argv, digest):
             "rook --m 6 --n 3 --q 1/2 --format csv",
             "cd49a22c881f7bc708d667564bbeca3ce178b613f0b3e8b1caa741352ff18162",
         ),
+        # the bench's rook job: 42525 placements, counted over used-column groups
+        (
+            "rook --m 9 --n 5 --q 1/2",
+            "144199d18bbb67bc4ea64511676fd793d072f9d496b1ce6ee97abe236e490860",
+        ),
         (
             "verify --max-m 4",
             "923dc34306376692e487e7f5049277db4d9220125bac6e96f79e7487c32d3cfb",
@@ -216,6 +221,21 @@ def test_report_output_pinned(line, digest):
     code, out = run_cli(line.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_rook_counts_past_the_default_cap_and_refuses_below_it(monkeypatch, capsys):
+    # 246730 placements at m = 10: recorded while the histogram still listed every placement
+    monkeypatch.setenv("JEPQ_STATE_CAP", "300000")
+    code, out = run_cli("rook --m 10 --n 5 --q 1/3 --format csv".split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a8322ffd37a9c8038999d94d3e9ccfbe3e984ec3aea9eba7fa2438017d8c6398"
+    )
+    # the count checks the cap first, as the listing did
+    monkeypatch.setenv("JEPQ_STATE_CAP", "100")
+    capsys.readouterr()
+    assert run_cli("rook --m 9 --n 5 --q 1/2".split()) == (2, "")
+    assert capsys.readouterr().err == "jepq: error: extended state space size 42525 exceeds cap 100\n"
 
 
 @pytest.mark.parametrize(

@@ -187,6 +187,19 @@ def test_circ_histogram():
             assert histogram == counted
 
 
+def test_circ_histogram_counts_the_walk():
+    from collections import Counter
+
+    from jepq.rook import _placements_with_circ
+
+    # the walk lists every placement; the count merges partial placements by used columns
+    for m in range(10):
+        for n in range(m + 1):
+            walked = Counter(value for _, value in _placements_with_circ(m, n))
+            histogram = circ_histogram(m, n)
+            assert list(histogram.items()) == sorted(walked.items()), (m, n)
+
+
 def test_extensions_examples():
     assert extensions((0,), 2) == [((0, 0),), ((0, 1),)]
     for m in range(1, 8):

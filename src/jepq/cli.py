@@ -17,7 +17,7 @@ import csv
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 from .qcomb import Scalar, gould_stirling, parse_scalar, partition_z
 from .jep import (
@@ -178,8 +178,10 @@ def _cmd_simulate(args) -> int:
             exact = {s: float(p) for s, p in stationary_distribution(model).items()}
             summary["tv_empirical_vs_exact"] = total_variation(empirical, exact)
     if isinstance(model, BoundedGeometric) and model.n:
-        stats = closed_form_stats(model.m, model.n, model.q)
-        summary["throw_fraction_exact"] = float(stats.throw_fraction)
+        exact = float("nan")  # stays NaN where the float closed form leaves the float range
+        with suppress(OverflowError, ValueError):
+            exact = float(closed_form_stats(model.m, model.n, model.q).throw_fraction)
+        summary["throw_fraction_exact"] = exact if abs(exact) <= sys.float_info.max else None
     rows = [(_state_key(s), f) for s, f in sorted(empirical.items())]
     _emit({"summary": summary}, ("state", "frequency"), rows, args)
     return 0
@@ -202,13 +204,16 @@ def _cmd_converge(args) -> int:
 
 def _cmd_limits(args) -> int:
     lo, hi = args.m_range
-    if args.n is not None:
-        BoundedGeometric(0, 0, args.q_value)  # checks 0 < q <= 1, even for an empty range
-        rows = limit_rows_fixed_n(args.n, args.q_value, range(max(lo, args.n), hi + 1))
-        mode = "fixed-n"
-    else:
-        rows = limit_rows_growing_n(args.q_value, range(max(lo, 1), hi + 1))
-        mode = "growing-n"
+    try:
+        if args.n is not None:
+            BoundedGeometric(0, 0, args.q_value)  # checks 0 < q <= 1, even for an empty range
+            rows = limit_rows_fixed_n(args.n, args.q_value, range(max(lo, args.n), hi + 1))
+            mode = "fixed-n"
+        else:
+            rows = limit_rows_growing_n(args.q_value, range(max(lo, 1), hi + 1))
+            mode = "growing-n"
+    except OverflowError:  # a float power of a q-integer; exact rows have no such limit
+        raise ValueError("a ground-state value exceeds the float range; use --exact") from None
     out = []
     for row in rows:
         shown = row.value_uncorrected if args.paper_literal else row.value

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, log10
 from typing import Union
 
-from .qcomb import Scalar, _table, binom2, gould_stirling, partition_z, q_int, q_pochhammer
+from .qcomb import Scalar, _table, binom2, partition_z, q_int, q_pochhammer
 
 State = tuple[int, ...]
 DEFAULT_STATE_CAP = 100_000
@@ -104,11 +104,9 @@ class SteadyStats:
     throw_fraction_uncorrected: Scalar
 
 
-def check_state_cap(m: int, n: int, placements: bool = False) -> None:
-    """Raise ValueError when the height sets of n particles on {0..m-1}, or with ``placements``
-    the n-rook placements on the board of height m, outnumber the state cap (`_check_size`)."""
-    count = gould_stirling(m + 1, m + 1 - n, 1) if placements else comb(m, n)
-    _check_size(count, "extended state space" if placements else "state space")
+def check_state_cap(m: int, n: int) -> None:
+    """Raise ValueError when the height sets of n particles on {0..m-1} outnumber the state cap."""
+    _check_size(comb(m, n), "state space")
 
 
 def _check_size(count: int, kind: str) -> None:
@@ -122,7 +120,11 @@ def _check_size(count: int, kind: str) -> None:
     if cap < 1:
         raise ValueError(f"JEPQ_STATE_CAP must be a positive integer, got {raw!r}")
     if count > cap:
-        raise ValueError(f"{kind} size {count} exceeds cap {cap}")
+        try:
+            size = str(count)
+        except ValueError:  # beyond Python's limit on int-to-decimal conversion
+            size = f"of about {int(log10(count)) + 1} digits"
+        raise ValueError(f"{kind} size {size} exceeds cap {cap}")
 
 
 def enumerate_states(m: int, n: int) -> list[State]:

@@ -18,14 +18,12 @@ from .qcomb import (
     q_int,
     q_pochhammer,
 )
-from .jep import (  # the state cap lives in jep and is re-exported here
-    DEFAULT_STATE_CAP,
+from .jep import (
     BoundedGeometric,
     ThrowModel,
     UnboundedGeometric,
     _numerators,
     _unbounded_probs,
-    check_state_cap,
     enumerate_states,
     stationary_distribution,
     step_kernel_row,
@@ -33,8 +31,6 @@ from .jep import (  # the state cap lives in jep and is re-exported here
 from .rook import _extended_rows, enumerate_configs
 
 __all__ = [
-    "DEFAULT_STATE_CAP",
-    "check_state_cap",
     "TransitionMatrix",
     "ConvergenceRow",
     "LimitRow",

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 from math import prod
 
 from .qcomb import Scalar, gould_stirling
-from .jep import State, _check_size, check_state_cap, truncated_geometric_pmf
+from .jep import State, _check_size, truncated_geometric_pmf
 
 Cell = tuple[int, int]
 RookConfig = tuple[Cell, ...]
@@ -81,7 +81,7 @@ def circ_histogram(m: int, n: int) -> dict[int, int]:
     """How many placements of n rooks on the board of height m have each circ value, in increasing
     circ order, counted over groups of partial placements with no placement listed. Its generating
     sum in q is the Gould triangle value G[m+1, m-n+1]."""
-    _placements_with_circ(m, n)  # checks n, then the cap; it lists nothing until iterated
+    _check_placements(m, n)
     groups = {(0, 0): 1}  # (used columns as a bitmask, circ so far): one key, one set of completions
     for r in range(m - 1, -1, -1):  # from the top row down, by the rule of `circ`
         above, groups = groups, {}
@@ -105,12 +105,20 @@ def extensions(heights: State, m: int) -> list[RookConfig]:
     return sorted(config for config, _ in _extensions_with_circ(heights, m))
 
 
+def _check_placements(m: int, n: int) -> None:
+    """Check 0 <= n <= m, then the cap on the S(m+1, m+1-n) placements of n rooks, board height m."""
+    if not 0 <= n <= m:
+        raise ValueError(f"need 0 <= n <= m, got m={m} n={n}")
+    column = [1] + [0] * n  # S(j+i, j) for i = 0..n at j = 0: only the cells that reach S(m+1, m+1-n)
+    for j in range(1, m + 2 - n):  # S(j+i, j) = S(j+i-1, j-1) + j S(j+i-1, j): O(m min(n, m+1-n))
+        column = list(accumulate(column, lambda above, left: j * above + left))
+    _check_size(column[n], "extended state space")
+
+
 def _placements_with_circ(m: int, n: int) -> Iterator[tuple[RookConfig, int]]:
     """Every placement of n rooks on the board of height m, with its circ, one row set's list
     at a time. It checks n and then the cap when called, before any placement is walked."""
-    if not 0 <= n <= m:
-        raise ValueError(f"need 0 <= n <= m, got m={m} n={n}")
-    check_state_cap(m, n, placements=True)
+    _check_placements(m, n)
     return chain.from_iterable(_extensions_with_circ(rows, m) for rows in combinations(range(m), n))
 
 

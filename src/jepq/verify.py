@@ -39,6 +39,7 @@ from .oracle import (
     tv_to_unbounded,
 )
 from .rook import (
+    _check_placements,
     _extensions_with_circ,
     circ_histogram,
     enumerate_configs,
@@ -284,7 +285,7 @@ def run_checks(max_m: int = 6, qs=DEFAULT_QS) -> list[CheckResult]:
     if max_m < 3:
         raise ValueError("max_m below 3 would skip the anchor cases")
     for n in range(max_m + 1):  # the placements at max_m, the most that any check walks
-        check_state_cap(max_m, n, placements=True)
+        _check_placements(max_m, n)
     check_state_cap(12, 3)  # the unbounded height sets of balance-residuals
     qs = tuple(Fraction(q) for q in qs)
     for q in qs:

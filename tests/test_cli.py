@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -486,6 +487,45 @@ def test_exact_value_too_long_names_q(capsys):
     assert exit_code(["stationary", "--m", "6", "--n", "5", "--q", "1e-320"]) == 2
     err = capsys.readouterr().err
     assert "4800 digits" in err and "--q" in err
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        # C(20000, 10000) has more digits than Python prints in decimal
+        ("stationary --m 20000 --n 10000 --q 1/2",
+         r"state space size of about 6019 digits exceeds cap 100000"),
+        # [m-n+1]_q^n leaves the float range
+        ("limits --n 200 --q 0.99 --m-range 400:400", r".*float range.*--exact"),
+        ("limits --q 0.99 --m-range 300:300", r".*float range.*--exact"),
+    ],
+)
+def test_out_of_range_values_are_one_error_line(argv, line, capsys):
+    assert exit_code(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(f"jepq: error: {line}\n", err), err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # [m-n+1]_q^n overflows
+        "--m 300 --n 150 --q 0.999",
+        "--m 3000 --n 1500 --q 1/2",
+        # Z underflows to 0
+        "--m 80 --n 40 --q 0.1",
+        # Z overflows to inf, and the throw fraction is inf / inf
+        "--m 1099 --n 100 --q 0.9999999",
+    ],
+)
+def test_simulate_reports_null_where_the_float_closed_form_fails(argv):
+    code, out = run_cli(["simulate", *argv.split(), "--steps", "200", "--burn-in", "0"])
+    assert code == 0
+    summary = json.loads(out)["summary"]
+    assert summary["throw_fraction_exact"] is None
+    assert summary["tv_empirical_vs_exact"] is None  # over the state cap
+    assert summary["throw_count"] > 0
 
 
 def test_unwritable_out_is_one_error_line(tmp_path, capsys):

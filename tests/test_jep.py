@@ -431,10 +431,11 @@ def test_every_enumeration_respects_the_state_cap(name, monkeypatch):
     monkeypatch.setenv("JEPQ_STATE_CAP", "1000")
     enumerate_(5, 2)
     # an over-cap size is refused before any triangle or list is built
-    start = perf_counter()
-    with pytest.raises(ValueError, match="exceeds cap 1000$"):
-        enumerate_(60, 30)
-    assert perf_counter() - start < 0.1
+    for m, n in ((60, 30), (5000, 1), (5000, 4999)):
+        start = perf_counter()
+        with pytest.raises(ValueError, match="exceeds cap 1000$"):
+            enumerate_(m, n)
+        assert perf_counter() - start < 0.1, (m, n)
 
 
 def test_builders_follow_the_environment(monkeypatch):

@@ -200,6 +200,36 @@ def test_circ_histogram_counts_the_walk():
             assert list(histogram.items()) == sorted(walked.items()), (m, n)
 
 
+def test_circ_histogram_checks_without_the_walk(monkeypatch):
+    from collections import Counter
+
+    from jepq import rook
+
+    def walk(m, n):
+        raise AssertionError("circ_histogram walked the placements")
+
+    walked = Counter(value for _, value in rook._placements_with_circ(4, 2))
+    monkeypatch.setattr(rook, "_placements_with_circ", walk)
+    assert circ_histogram(4, 2) == walked
+    with pytest.raises(ValueError, match="^need 0 <= n <= m, got m=3 n=4$"):
+        circ_histogram(3, 4)
+    monkeypatch.setenv("JEPQ_STATE_CAP", "100")
+    with pytest.raises(ValueError, match="^extended state space size 42525 exceeds cap 100$"):
+        circ_histogram(9, 5)
+
+
+def test_placement_count_is_the_q1_gould_value(monkeypatch):
+    from jepq import rook
+
+    counts = []
+    monkeypatch.setattr(rook, "_check_size", lambda count, kind: counts.append((count, kind)))
+    for m in range(41):
+        for n in range(m + 1):
+            counts.clear()
+            rook._check_placements(m, n)
+            assert counts == [(gould_stirling(m + 1, m + 1 - n, 1), "extended state space")], (m, n)
+
+
 def test_extensions_examples():
     assert extensions((0,), 2) == [((0, 0),), ((0, 1),)]
     for m in range(1, 8):

@@ -11,6 +11,7 @@ library value can reach it.
 
 import dataclasses
 from fractions import Fraction as F
+from time import perf_counter
 
 import pytest
 
@@ -146,6 +147,12 @@ def test_run_checks_refuses_a_cap_below_its_enumerations(monkeypatch):
     # at the guard's own bound every check runs, and none meets the cap
     monkeypatch.setenv("JEPQ_STATE_CAP", "220")
     assert all(r.passed for r in verify.run_checks(max_m=5))
+    # the default cap refuses S(3001, 3000) = 4501500 placements without a big triangle
+    monkeypatch.delenv("JEPQ_STATE_CAP")
+    start = perf_counter()
+    with pytest.raises(ValueError, match="^extended state space size 4501500 exceeds cap 100000$"):
+        verify.run_checks(max_m=3000)
+    assert perf_counter() - start < 0.1
 
 
 def test_bounded_balance_can_fail(monkeypatch):

@@ -85,61 +85,84 @@ def build_extended_matrix(m: int, n: int, q: Scalar) -> TransitionMatrix:
     return TransitionMatrix(configs, _extended_rows(m, n, configs, q))
 
 
+# Exponents e of the Mersenne primes 2^e - 1 that the solve tries, in order
+_MERSENNE_EXPONENTS = (127, 521, 1279, 2203, 4423, 9689, 19937, 44497, 86243, 216091)
+
+
 def solve_stationary(tm: TransitionMatrix) -> dict:
-    """The unique stationary distribution of an ergodic kernel with rational
-    entries, by exact state-reduction elimination over integer rows (no
-    pivoting: every entry stays nonnegative). A float kernel is rejected."""
+    """The unique stationary distribution of an ergodic kernel with rational entries;
+    a float kernel is rejected. State reduction (Grassmann, Taksar and Heyman) runs
+    mod a Mersenne prime with no pivoting: exact entries stay nonnegative, so supports
+    are kept exactly, zero residues included. Rational reconstruction gives weights
+    N >= 0, returned only if N P = N in integers (every state reaches state 0, so N is
+    the law); else the next prime is tried, and ValueError is raised after the last."""
     if len(tm) == 0:
         raise ValueError("empty state space")
     if not tm.is_exact():
         raise ValueError("solve_stationary needs an exact kernel; build it with a rational q")
-    n = len(tm)
-    # a[i][j] = rows[i][j] / dens[i] in integers; holders[k]: rows i < k holding k
-    rows, dens = [], []
-    holders: list[set[int]] = [set() for _ in range(n)]
-    for i, row in enumerate(tm.rows):
-        entries = {tm.pos[succ]: p for succ, p in row.items() if p}
-        d = math.lcm(*(p.denominator for p in entries.values()))
-        rows.append({j: p.numerator * (d // p.denominator) for j, p in entries.items()})
-        dens.append(d)
-        for j in entries:
+    # the entry i -> j is scaled[i][j] / lcm, zero entries dropped
+    lcm = math.lcm(*(p.denominator for row in tm.rows for p in row.values()))
+    scaled = [{tm.pos[succ]: p.numerator * (lcm // p.denominator) for succ, p in row.items() if p}
+              for row in tm.rows]
+    for e in _MERSENNE_EXPONENTS:
+        weights = _certified_weights(scaled, lcm, (1 << e) - 1)
+        if weights is not None:
+            total = sum(weights)
+            return {state: Fraction(w, total) for w, state in zip(weights, tm.states)}
+    raise ValueError("no prime in the ladder certifies the stationary law")
+
+
+def _certified_weights(scaled: list[dict], lcm: int, p: int) -> list[int] | None:
+    """The law's weights N by state reduction mod p if N P = N holds in integers, else None."""
+    n = len(scaled)
+    a = [{j: v % p for j, v in row.items()} for row in scaled]  # the common lcm cancels
+    holders = [set() for _ in range(n)]  # holders[k]: rows i < k holding k
+    for i, row in enumerate(a):
+        for j in row:
             if j > i:
                 holders[j].add(i)
-    # Censor states from the top index down. a[i][k] over the exit mass of k, s / dens[k]
-    # (into[k] keeps it as an integer pair), is the chance that i enters k per unit of time
-    # k eventually spends below k, as the forward recursion needs; row i folds in s * row k.
+    # Censor k: row i folds in a[i][k] row k / s, s the exit mass of k; into[k] keeps a[i][k] / s
     into: list[list] = [[] for _ in range(n)]
     for k in range(n - 1, 0, -1):
-        row_k = rows[k]
+        row_k = a[k]
         row_k.pop(k, None)  # the self-loop of k never enters
-        s = sum(row_k.values())
-        if s == 0:
+        if not row_k:
             raise ValueError("kernel is not irreducible: no exit from a top block")
+        if (s := sum(row_k.values()) % p) == 0:
+            return None
+        inv = pow(s, -1, p)
+        row_k = {j: v * inv % p for j, v in row_k.items()}
         for i in holders[k]:
-            entry = rows[i].pop(k)
-            into[k].append((i, entry * dens[k], dens[i] * s))
-            h = math.gcd(s, entry)  # the fold is (s row_i + entry row_k) / (dens[i] s)
-            scale, entry, den = s // h, entry // h, dens[i] * (s // h)
-            row_i = {j: scale * v for j, v in rows[i].items()}
+            row_i = a[i]
+            entry = row_i.pop(k) % p  # folded entries are reduced when read
+            into[k].append((i, entry * inv))
             for j, v in row_k.items():
                 row_i[j] = row_i.get(j, 0) + entry * v
                 if j > i:
                     holders[j].add(i)
-            g = math.gcd(den, *row_i.values())
-            rows[i] = {j: v // g for j, v in row_i.items()} if g > 1 else row_i
-            dens[i] = den // g
-    # pi[k] = pi_num[k] / pi_den[k]: its terms over the lcm of their denominators, reduced once
-    pi_num, pi_den = [1] * n, [1] * n
+    # pi_0 = 1; one common denominator, grown by reconstruction where a weight is not small
+    pi, common, bound = [1] * n, 1, math.isqrt(p >> 1)
     for k in range(1, n):
-        terms = [(pi_num[i] * num, pi_den[i] * den) for i, num, den in into[k]]
-        d = math.lcm(*(den for _, den in terms))
-        p = sum(num * (d // den) for num, den in terms)
-        g = math.gcd(p, d)
-        pi_num[k], pi_den[k] = p // g, d // g
-    d = math.lcm(*pi_den)
-    weights = [p * (d // den) for p, den in zip(pi_num, pi_den)]
-    total = sum(weights)
-    return {state: Fraction(w, total) for w, state in zip(weights, tm.states)}
+        pi[k] = sum(pi[i] * ratio for i, ratio in into[k]) % p
+        if (y := common * pi[k] % p) > bound:
+            if (den := _denominator(y, p, bound)) > bound:
+                return None  # no fraction this small: p is too narrow
+            common = common * den % p  # never 0: each factor is below p
+    weights = [common * x % p for x in pi]  # in [0, p), so N >= 0
+    flow = [0] * n  # N P, over lcm
+    for w, row in zip(weights, scaled):
+        for j, v in row.items():
+            flow[j] += w * v
+    return weights if flow == [w * lcm for w in weights] else None
+
+
+def _denominator(y: int, p: int, bound: int) -> int:
+    """b with y = a / b mod p, |a| <= bound, by extended Euclid (Wang); b <= bound if one exists."""
+    r0, r1, t0, t1 = p, y, 0, 1
+    while r1 > bound:
+        quotient = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - quotient * r1, t1, t0 - quotient * t1
+    return abs(t1)
 
 
 def total_variation(mu: dict, nu: dict, mu_tail: Scalar = 0, nu_tail: Scalar = 0) -> Scalar:
@@ -222,9 +245,9 @@ class LimitRow:
 
 def _limit_rows(q: Scalar, pairs, target: Scalar) -> list[LimitRow]:
     """The ground-state rows of the (m, n) pairs, in their order, raising what evaluating
-    them one by one would. Each m comes with one n, and Z(m, n) / q^binom(n,2) is
-    R[m+1, m-n+1] (`scaled_partition_z`): one running R triangle is walked once, to the
-    largest m + 1, and only the entries read are reduced."""
+    them one by one would, then OverflowError if a float Z read is inf. Each m has one n,
+    and Z(m, n) / q^binom(n,2) is R[m+1, m-n+1] (`scaled_partition_z`): one running R
+    triangle is walked once, to the largest m + 1, and only the entries read are reduced."""
     todo = []
     for m, n in pairs:
         todo.append((m, n, q_int(m - n + 1, q) ** n))
@@ -233,6 +256,8 @@ def _limit_rows(q: Scalar, pairs, target: Scalar) -> list[LimitRow]:
     wanted = {m + 1: m - n + 1 for m, n, _ in todo}
     rows = _triangle_rows(max(wanted, default=0), q, "R")
     zs = {r: _reduce(q, row[wanted[r]], binom2(r)) for r, row in enumerate(rows) if r in wanted}
+    if math.inf in zs.values():
+        raise OverflowError("a scaled normalizer exceeds the float range")
     values = [(m, n, power / zs[m + 1], q ** binom2(n)) for m, n, power in todo]
     return [LimitRow(m, n, v, v / s if s else math.inf, target) for m, n, v, s in values]
 

@@ -498,6 +498,9 @@ def test_exact_value_too_long_names_q(capsys):
         # [m-n+1]_q^n leaves the float range
         ("limits --n 200 --q 0.99 --m-range 400:400", r".*float range.*--exact"),
         ("limits --q 0.99 --m-range 300:300", r".*float range.*--exact"),
+        # the scaled normalizer overflows while [m-n+1]_q^n does not: the value would read 0
+        ("limits --n 100 --q 0.9999 --m-range 1000:1000", r".*float range.*--exact"),
+        ("limits --q 0.9999 --m-range 130:130", r".*float range.*--exact"),
     ],
 )
 def test_out_of_range_values_are_one_error_line(argv, line, capsys):

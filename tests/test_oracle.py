@@ -1,8 +1,10 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from jepq import oracle
 from jepq.jep import (
     BoundedGeometric,
     BoundedUniform,
@@ -132,6 +134,127 @@ def test_solve_accepts_mixed_int_and_fraction_rows():
     pi = solve_stationary(tm)
     assert pi == {"x": F(1, 4), "y": F(3, 4)}
     assert_exact_law(pi)
+
+
+def fraction_free_solve(tm):
+    """The state reduction over integer rows that the modular solve replaced: each
+    fold scales row i by the exit mass and divides by a gcd, so entries stay exact."""
+    n = len(tm)
+    rows, dens = [], []
+    holders = [set() for _ in range(n)]
+    for i, row in enumerate(tm.rows):
+        entries = {tm.pos[succ]: p for succ, p in row.items() if p}
+        d = math.lcm(*(p.denominator for p in entries.values()))
+        rows.append({j: p.numerator * (d // p.denominator) for j, p in entries.items()})
+        dens.append(d)
+        for j in entries:
+            if j > i:
+                holders[j].add(i)
+    into = [[] for _ in range(n)]
+    for k in range(n - 1, 0, -1):
+        row_k = rows[k]
+        row_k.pop(k, None)
+        s = sum(row_k.values())
+        assert s > 0
+        for i in holders[k]:
+            entry = rows[i].pop(k)
+            into[k].append((i, F(entry * dens[k], dens[i] * s)))
+            h = math.gcd(s, entry)
+            scale, entry, den = s // h, entry // h, dens[i] * (s // h)
+            row_i = {j: scale * v for j, v in rows[i].items()}
+            for j, v in row_k.items():
+                row_i[j] = row_i.get(j, 0) + entry * v
+                if j > i:
+                    holders[j].add(i)
+            g = math.gcd(den, *row_i.values())
+            rows[i] = {j: v // g for j, v in row_i.items()}
+            dens[i] = den // g
+    pi = [F(1)] * n
+    for k in range(1, n):
+        pi[k] = sum(pi[i] * ratio for i, ratio in into[k])
+    total = sum(pi)
+    return {state: p / total for p, state in zip(pi, tm.states)}
+
+
+@pytest.fixture
+def primes_tried(monkeypatch):
+    """The exponents e of the primes 2^e - 1 that each solve tries, in order."""
+    tried = []
+    certified_weights = oracle._certified_weights
+
+    def spy(rows, dens, p):
+        tried.append(p.bit_length())
+        return certified_weights(rows, dens, p)
+
+    monkeypatch.setattr(oracle, "_certified_weights", spy)
+    return tried
+
+
+def test_exit_mass_divisible_by_the_first_prime(primes_tried):
+    big = 2**127 - 1
+    # state 1 leaves with probability P/(P+1), which is 0 mod P
+    tm = TransitionMatrix([0, 1], [{0: F(1, 2), 1: F(1, 2)}, {0: F(big, big + 1), 1: F(1, big + 1)}])
+    pi = solve_stationary(tm)
+    assert pi == {0: F(2 * big, 3 * big + 1), 1: F(big + 1, 3 * big + 1)}
+    assert tm.push(pi) == pi
+    assert primes_tried == [127, 521]
+    # a denominator that P divides moves the solve on the same way
+    primes_tried.clear()
+    tm = TransitionMatrix([0, 1], [{0: F(1, big), 1: F(big - 1, big)}, {0: F(1)}])
+    assert solve_stationary(tm) == {0: F(big, 2 * big - 1), 1: F(big - 1, 2 * big - 1)}
+    assert primes_tried == [127, 521]
+
+
+@pytest.mark.parametrize(
+    "m, n, q, primes",
+    [
+        (11, 5, F(37, 100), [127, 521]),  # its weights do not reconstruct mod 2^127 - 1
+        (12, 6, F(1, 2), [127]),  # 924 states
+    ],
+)
+def test_solve_matches_closed_form_at_size(m, n, q, primes, primes_tried):
+    model = BoundedGeometric(m, n, q)
+    assert solve_stationary(build_transition_matrix(model)) == stationary_distribution(model)
+    assert primes_tried == primes
+
+
+def test_uncertified_weights_are_never_returned(monkeypatch, primes_tried):
+    # pi_1 / pi_0 = 3/2, so the weights need a reconstructed denominator
+    tm = TransitionMatrix([0, 1], [{0: F(1, 2), 1: F(1, 2)}, {0: F(1, 3), 1: F(2, 3)}])
+    denominator = oracle._denominator
+    monkeypatch.setattr(oracle, "_denominator", lambda y, p, bound: denominator(y, p, bound) + 1)
+    with pytest.raises(ValueError, match="no prime in the ladder certifies"):
+        solve_stationary(tm)
+    assert primes_tried == list(oracle._MERSENNE_EXPONENTS)
+    # a prime too narrow for the weights: each reconstruction is small but wrong, and N P = N
+    # rejects the weights
+    monkeypatch.setattr(oracle, "_denominator", denominator)
+    monkeypatch.setattr(oracle, "_MERSENNE_EXPONENTS", (13,))
+    with pytest.raises(ValueError, match="no prime in the ladder certifies"):
+        solve_stationary(build_transition_matrix(BoundedGeometric(6, 3, F(1, 2))))
+    monkeypatch.setattr(oracle, "_MERSENNE_EXPONENTS", (13, 127))
+    assert solve_stationary(tm) == {0: F(2, 5), 1: F(3, 5)}
+
+
+def random_kernel(rng, size):
+    # a cycle through every state keeps it irreducible; other entries are random
+    rows = []
+    for i in range(size):
+        support = {(i + 1) % size} | set(rng.sample(range(size), rng.randint(0, size)))
+        weights = {j: F(rng.randint(1, 10**rng.randint(1, 30)), rng.randint(1, 99)) for j in support}
+        total = sum(weights.values())
+        rows.append({j: w / total for j, w in weights.items()})
+    return TransitionMatrix(list(range(size)), rows)
+
+
+def test_random_kernels_match_fraction_free_reference():
+    rng = random.Random(20131)
+    for _ in range(150):
+        tm = random_kernel(rng, rng.randint(1, 8))
+        pi = solve_stationary(tm)
+        assert pi == fraction_free_solve(tm)
+        assert list(pi) == tm.states
+        assert_exact_law(pi)
 
 
 @pytest.mark.parametrize(

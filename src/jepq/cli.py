@@ -206,7 +206,6 @@ def _cmd_limits(args) -> int:
     lo, hi = args.m_range
     try:
         if args.n is not None:
-            BoundedGeometric(0, 0, args.q_value)  # checks 0 < q <= 1, even for an empty range
             rows = limit_rows_fixed_n(args.n, args.q_value, range(max(lo, args.n), hi + 1))
             mode = "fixed-n"
         else:

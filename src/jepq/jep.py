@@ -282,7 +282,7 @@ def closed_form_stats(m: int, n: int, q: Scalar) -> SteadyStats:
     bounded geometric chain in steady state; an int q gives Fractions."""
     if not 1 <= n <= m:
         raise ValueError(f"need 1 <= n <= m, got m={m} n={n}")
-    q = Fraction(q) if isinstance(q, int) else q
+    q = BoundedGeometric(m, n, q).q
     z = partition_z(m, n, q)
     ell = m - n + 1
     ground = q_int(ell, q) ** n * q ** binom2(n) / z

@@ -181,7 +181,7 @@ def total_variation(mu: dict, nu: dict, mu_tail: Scalar = 0, nu_tail: Scalar = 0
     diff = mu_tail + nu_tail
     for key in mu.keys() | nu.keys():
         diff += abs(mu.get(key, 0) - nu.get(key, 0))
-    return diff / 2
+    return diff * Fraction(1, 2)  # exact for exact inputs; a float diff is halved as by / 2
 
 
 @dataclass(frozen=True)
@@ -244,15 +244,11 @@ class LimitRow:
 
 
 def _limit_rows(q: Scalar, pairs, target: Scalar) -> list[LimitRow]:
-    """The ground-state rows of the (m, n) pairs, in their order, raising what evaluating
-    them one by one would, then OverflowError if a float Z read is inf. Each m has one n,
-    and Z(m, n) / q^binom(n,2) is R[m+1, m-n+1] (`scaled_partition_z`): one running R
-    triangle is walked once, to the largest m + 1, and only the entries read are reduced."""
-    todo = []
-    for m, n in pairs:
-        todo.append((m, n, q_int(m - n + 1, q) ** n))
-        if not 0 < q <= 1:
-            raise ValueError(f"need 0 < q <= 1, got q={q}")
+    """The ground-state rows of the (m, n) pairs, in their order, at a q its callers have
+    checked, raising what the pairs raise, then OverflowError if a float Z read is inf. Each m
+    has one n, and Z(m, n) / q^binom(n,2) is R[m+1, m-n+1] (`scaled_partition_z`): one running
+    R triangle is walked once, to the largest m + 1, and only the entries read are reduced."""
+    todo = [(m, n, q_int(m - n + 1, q) ** n) for m, n in pairs]
     wanted = {m + 1: m - n + 1 for m, n, _ in todo}
     rows = _triangle_rows(max(wanted, default=0), q, "R")
     zs = {r: _reduce(q, row[wanted[r]], binom2(r)) for r, row in enumerate(rows) if r in wanted}
@@ -263,8 +259,9 @@ def _limit_rows(q: Scalar, pairs, target: Scalar) -> list[LimitRow]:
 
 
 def limit_rows_fixed_n(n: int, q: Scalar, m_values) -> list[LimitRow]:
-    """Ground-state probabilities for fixed n over a range of m; the target
-    is the n-term product (q;q)_n."""
+    """Ground-state probabilities for fixed n over a range of m against the n-term product
+    (q;q)_n. q is checked first, by `BoundedGeometric` (an int q gives Fractions), then n."""
+    q = BoundedGeometric(0, 0, q).q
     target = q_pochhammer(n, q)
     def pairs():
         for m in m_values:

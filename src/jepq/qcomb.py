@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, islice, repeat
-from math import comb, isqrt, prod
+from math import comb, isqrt, log, prod
 from operator import mul, sub
 from typing import Union
 
@@ -80,24 +80,23 @@ def q_pochhammer(n: int, q: Scalar) -> Scalar:
     return _reduce(q, num, binom2(n + 1))
 
 
-def euler_phi_truncation(q: Scalar, eps: float) -> tuple[int, Scalar]:
+def euler_phi_truncation(q: Scalar) -> tuple[int, Scalar]:
     """Truncation index and certified tail bound for the Euler product.
 
     The N-term partial product overshoots the infinite one by at most
     sum_{k>N} q^k = q^(N+1)/(1-q): every dropped factor (1-q^k) lies in
     (0,1), and 1 - prod(1-x_k) <= sum x_k for x_k in [0,1]. Returns the
-    smallest N whose bound is <= eps, together with that bound, or raises
-    ValueError once N passes a cap on the work of the product.
+    smallest N whose bound is <= 1e-9 (`_PHI_EPS`), together with that bound,
+    or raises ValueError once N passes a cap on the work of the product.
     """
     if not 0 < q < 1:
         raise ValueError(f"need 0 < q < 1, got q={q}")
-    if eps <= 0:
-        raise ValueError(f"need eps > 0, got eps={eps}")
     # N exact factors hold about N^2/2 bits per bit of q's denominator
     cap = 10**8 if isinstance(q, float) else isqrt(2**22 // Fraction(q).denominator.bit_length())
-    n = 0
-    tail = q / (1 - q)
-    while tail > eps:
+    n, tail = 0, q / (1 - q)
+    if isinstance(q, float) and log(_PHI_EPS * (1 - q)) / log(q) > 1.01 * cap:
+        n = cap  # N = ceil(that ratio) - 1, up to rounding far under 1% of cap: refuse now
+    while tail > _PHI_EPS:
         n += 1
         if n > cap:
             raise ValueError(f"the Euler product at q={q} needs over {cap} factors; use a smaller q")
@@ -111,7 +110,7 @@ def euler_phi(q: Scalar) -> Scalar:
     The returned value overestimates the limit by at most 1e-9 (see
     `euler_phi_truncation` for the bound).
     """
-    n, _ = euler_phi_truncation(q, _PHI_EPS)
+    n, _ = euler_phi_truncation(q)
     return q_pochhammer(n, q)
 
 

@@ -19,7 +19,7 @@ from itertools import accumulate, chain, combinations
 from math import prod
 
 from .qcomb import Scalar, gould_stirling
-from .jep import State, _check_size, truncated_geometric_pmf
+from .jep import BoundedGeometric, State, _check_size, truncated_geometric_pmf
 
 Cell = tuple[int, int]
 RookConfig = tuple[Cell, ...]
@@ -179,10 +179,11 @@ def _extended_rows(m: int, n: int, configs: list[RookConfig], q: Scalar) -> list
 
 
 def extended_distribution(m: int, n: int, q: Scalar) -> dict[RookConfig, Scalar]:
-    """The extended stationary law over `enumerate_configs(m, n)`: each
-    weight q^(-circ) divided by one Gould triangle value G[m+1, m-n+1] at
-    base 1/q."""
+    """The extended stationary law over `enumerate_configs(m, n)`: each weight q^(-circ)
+    divided by one Gould triangle value G[m+1, m-n+1] at base 1/q. After n and the cap, q
+    is checked by `BoundedGeometric`, so an int q gives Fractions."""
     walk = _placements_with_circ(m, n)  # checks the cap before the triangle work
+    q = BoundedGeometric(m, n, q).q
     z = gould_stirling(m + 1, m - n + 1, 1 / q)
     return {c: q**-v / z for c, v in sorted(walk)}
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .qcomb import _PHI_EPS, binom2, euler_phi, euler_phi_truncation, gould_stirling, partition_z
+from .qcomb import binom2, euler_phi, euler_phi_truncation, gould_stirling, partition_z
 from .qcomb import q_int, q_pochhammer, q_stirling
 from .jep import (
     BoundedGeometric,
@@ -86,7 +86,7 @@ def _check_scalar_identities(max_m: int, qs) -> tuple[bool, str]:
                 return False, f"triangle relation at ({a},{b},{t})"
     for q in qs:
         # (q;q)_n = num / den with den = b^binom(n+1,2), compared by cross-multiplication
-        floor, poch = Fraction(euler_phi(q) - 1e-9), q_pochhammer(29, q)
+        floor, poch = euler_phi(q) - euler_phi_truncation(q)[1], q_pochhammer(29, q)
         a, b, num, den = q.numerator, q.denominator, 1, 1
         for n in range(1, 30):
             prev, num, den = num * b**n, num * (b**n - a**n), den * b**n
@@ -291,7 +291,7 @@ def run_checks(max_m: int = 6, qs=DEFAULT_QS) -> list[CheckResult]:
     for q in qs:
         if not 0 < q < 1:
             raise ValueError(f"verification runs on exact q in (0,1), got {q}")
-        euler_phi_truncation(q, _PHI_EPS)  # refuses a q whose exact Euler product is too long
+        euler_phi_truncation(q)  # refuses a q whose exact Euler product is too long
     results = []
     for name, check in _CHECKS.items():
         try:

@@ -273,6 +273,10 @@ def test_bad_arguments_are_rejected(call, message):
 def test_total_variation_basics():
     assert total_variation({"a": F(1)}, {"a": F(1)}) == 0
     assert total_variation({"a": F(1)}, {"b": F(1)}) == 1
+    # exact int inputs stay exact, and a float sum is halved bit for bit
+    tv = total_variation({1: 1}, {2: 1})
+    assert tv == 1 and type(tv) is F
+    assert total_variation({1: 0.1}, {2: 0.7}).hex() == ((0.1 + 0.7) / 2).hex()
     with pytest.raises(ValueError):
         total_variation({"a": F(-1, 2)}, {})
     mu = {0: F(1, 2), 1: F(1, 2)}
@@ -380,6 +384,8 @@ def test_limit_rows_match_per_m_reference(q):
             limit_rows_fixed_n(n, q, m_values),
             [reference_limit_row(m, n, q, target) for m in m_values],
         )
+    if q == 1:  # the int 1 is the same exact q
+        assert_same_rows(limit_rows_fixed_n(2, 1, [3, 4]), limit_rows_fixed_n(2, q, [3, 4]))
     if q < 1:
         for n_values in (range(1, 20), [6, 2, 6, 1, 0, 11]):
             assert_same_rows(
@@ -389,13 +395,14 @@ def test_limit_rows_match_per_m_reference(q):
 
 
 def test_limit_rows_raise_in_the_order_of_their_arguments():
-    # each m is checked against n, then q, in the order given; no m, no check
-    assert limit_rows_fixed_n(3, F(2), []) == []
+    # q is checked first, even with no m; then n, then each m against n in the order given
+    with pytest.raises(ValueError, match="need 0 < q <= 1, got q=2"):
+        limit_rows_fixed_n(3, F(2), [])
     with pytest.raises(ValueError, match="need 0 < q <= 1, got q=2"):
         limit_rows_fixed_n(3, F(2), [5, 2])
     with pytest.raises(ValueError, match="need m >= n, got m=2 n=3"):
-        limit_rows_fixed_n(3, F(2), [2, 5])
-    with pytest.raises(ValueError, match="q_int needs q >= 0"):
+        limit_rows_fixed_n(3, F(1, 2), [2, 5])
+    with pytest.raises(ValueError, match="need 0 < q <= 1, got q=-1/2"):
         limit_rows_fixed_n(3, F(-1, 2), [5])
     with pytest.raises(ValueError, match="q_pochhammer needs n >= 0"):
         limit_rows_fixed_n(-1, F(1, 2), [5])

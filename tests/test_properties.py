@@ -147,7 +147,8 @@ def hostile_argvs(draw, command):
         names.append(draw(st.sampled_from(sorted(VALUES) + FLAGS)))
     values = VALUES
     if command == "verify":
-        # verify passes at q = 1e-320, but its exact checks then take seconds
+        # verify passes at q = 1e-320, but its exact checks then take about 0.5 s a run:
+        # drawing it took this test from 0.24-0.29 s to 2.6 s (2-vCPU Xeon, Python 3.11)
         values = {**VALUES, "q": st.sampled_from([q for q in Q_POOL if q != "1e-320"])}
     argv = [command]
     for name in draw(st.permutations(names)):

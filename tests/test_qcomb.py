@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from time import perf_counter
 
 import pytest
 
@@ -78,7 +79,7 @@ def test_q_pochhammer_decreasing_and_bounded(q):
 
 
 def test_euler_phi_truncation_bound():
-    n, tail = euler_phi_truncation(0.5, 1e-9)
+    n, tail = euler_phi_truncation(0.5)
     assert 0.5 ** (n + 1) / 0.5 <= 1e-9
     assert tail <= 1e-9
     # reference value of the infinite product at q = 1/2
@@ -89,17 +90,23 @@ def test_euler_phi_truncation_bound():
     assert euler_phi(1 / 3) > euler_phi(0.5)
     with pytest.raises(ValueError):
         euler_phi(1.5)
-    with pytest.raises(ValueError):
-        euler_phi_truncation(0.5, 0.0)
 
 
 def test_euler_phi_truncation_caps_the_work():
     # 711 exact factors at q = 29/30 fit under the cap of 915; q near 1 is
     # refused after a few hundred exact steps instead of running for hours
-    assert euler_phi_truncation(F(29, 30), 1e-9)[0] == 711
+    assert euler_phi_truncation(F(29, 30))[0] == 711
     with pytest.raises(ValueError, match="needs over 496 factors"):
-        euler_phi_truncation(F(99999, 100000), 1e-9)
-    assert euler_phi_truncation(0.99999, 1e-9)[0] == 3223603
+        euler_phi_truncation(F(99999, 100000))
+    assert euler_phi_truncation(0.99999)[0] == 3223603
+
+
+def test_euler_phi_truncation_refuses_a_float_q_far_past_the_cap_at_once():
+    # about 3.7e8 factors at q = 0.9999999: refused without multiplying 10^8 tails first
+    start = perf_counter()
+    with pytest.raises(ValueError, match="needs over 100000000 factors"):
+        euler_phi_truncation(0.9999999)
+    assert perf_counter() - start < 0.1
 
 
 def test_q_stirling_anchors():

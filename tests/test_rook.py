@@ -300,6 +300,15 @@ def test_extended_weight_anchor():
     assert probs[((0, 0),)] == F(1, 2)
 
 
+def test_extended_law_reads_q_as_the_bounded_model_does():
+    for q in (0, 2):
+        with pytest.raises(ValueError, match=f"^need 0 < q <= 1, got q={q}$"):
+            extended_distribution(2, 1, q)
+    law = extended_distribution(3, 1, 1)
+    assert law == extended_distribution(3, 1, F(1))
+    assert {type(p) for p in law.values()} == {F}
+
+
 @pytest.mark.parametrize("q", EXT_QS)
 def test_extended_stationarity_and_projection(q):
     from jepq.oracle import build_extended_matrix

@@ -18,6 +18,8 @@ import json
 import os
 import sys
 from contextlib import contextmanager, suppress
+from json.encoder import encode_basestring_ascii
+from math import gcd, isfinite
 
 from .qcomb import Scalar, gould_stirling, parse_scalar, partition_z
 from .jep import (
@@ -45,15 +47,15 @@ __all__ = ["main"]
 
 
 def _state_key(state) -> str:
-    return "-".join(str(h) for h in state) if state else "empty"
+    return "-".join(map(str, state)) if state else "empty"
 
 
-def _exact_str(value: Scalar) -> str:
-    """The "p/r" string of an exact value, a `Fraction` or an int."""
+def _exact_str(num: int, den: int) -> str:
+    """The "p/r" string of an exact value as a reduced pair; "p" where r is 1, as for `str`."""
     try:
-        return str(value)
+        return f"{num}/{den}" if den != 1 else f"{num}"
     except ValueError:  # beyond Python's limit on int-to-decimal conversion
-        bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+        bits = max(num.bit_length(), den.bit_length())
         raise ValueError(
             f"an exact value of about {round(bits * 0.30103)} digits is too long "
             "to print; choose a --q whose powers have shorter exact forms"
@@ -67,11 +69,22 @@ def _scalar_fields(value: Scalar) -> dict:
         as_float = float(value)
     except OverflowError:
         raise ValueError("a reported value exceeds the float range") from None
-    return {"exact": _exact_str(value), "float": as_float}
+    return {"exact": _scalar_cell(value), "float": as_float}
 
 
 def _scalar_cell(value: Scalar) -> str:
-    return repr(value) if isinstance(value, float) else _exact_str(value)
+    return repr(value) if isinstance(value, float) else _exact_str(value.numerator, value.denominator)
+
+
+def _json_cell(value) -> str:
+    """One scalar as `json` writes it, through the encoder's own functions."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if type(value) is int:  # not bool
+        return int.__repr__(value)
+    if type(value) is float and isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value)  # true, false, null, NaN, Infinity
 
 
 @contextmanager
@@ -89,13 +102,20 @@ def _destination(args):
 
 def _emit(report: dict, columns: tuple, rows: list[tuple], args, rows_key: str = "rows") -> None:
     """Write the report as JSON (report plus rows) or CSV (rows only); rows are in column
-    order. JSON turns them into dicts in place, freeing each tuple as its dict is built."""
+    order. JSON is laid out as `json.dump(indent=2)` of the report with its rows as dicts:
+    the head goes through `json`, then each row is written as it is encoded, cell by cell."""
     with _destination(args) as handle:
         if args.format == "json":
-            for i, row in enumerate(rows):
-                rows[i] = dict(zip(columns, row))
-            json.dump({**report, rows_key: rows}, handle, indent=2)
-            handle.write("\n")
+            keys = [f"      {encode_basestring_ascii(c)}: " for c in columns]
+            def texts(sep="\n"):
+                for row in rows:
+                    cells = ",\n".join(map(str.__add__, keys, map(_json_cell, row)))
+                    yield sep + "    {\n" + cells + "\n    }"
+                    sep = ",\n"
+            head = json.dumps({**report, rows_key: []}, indent=2)
+            handle.write(head[:-3])  # through the "[" of the empty row list
+            handle.writelines(texts())
+            handle.write("\n  ]\n}\n" if rows else "]\n}\n")
         else:
             csv.writer(handle).writerows([columns, *rows])
 
@@ -116,9 +136,18 @@ def _cmd_stationary(args) -> int:
     div, scale, stream = _numerators(model.m, model.n, model.q, enumerate_states(model.m, model.n))
     z = partition_z(model.m, model.n, model.q)
     rows, z_scaled = [], z * scale
-    for state, w in stream:
-        weight, prob = div(w, scale), div(w, z_scaled)
-        rows.append((_state_key(state), _scalar_cell(weight), _scalar_cell(prob), float(prob)))
+    if isinstance(model.q, float):
+        for state, w in stream:
+            weight, prob = div(w, scale), div(w, z_scaled)
+            rows.append((_state_key(state), _scalar_cell(weight), _scalar_cell(prob), float(prob)))
+    else:
+        # The int scale and Z scale = zn/zd in lowest terms: w/scale and w zd/zn are each
+        # reduced by one gcd with w, and w zd / zn is the correctly rounded float.
+        zn, zd = z_scaled.numerator, z_scaled.denominator
+        for state, w in stream:
+            g, h = gcd(w, scale), gcd(w, zn)
+            weight, prob = _exact_str(w // g, scale // g), _exact_str(w // h * zd, zn // h)
+            rows.append((_state_key(state), weight, prob, w * zd / zn))
     summary: dict = {"m": args.m, "n": args.n, "model": args.model}
     if model.n:
         stats = closed_form_stats(model.m, model.n, model.q)

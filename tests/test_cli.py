@@ -11,7 +11,8 @@ from fractions import Fraction as F
 import pytest
 
 import jepq
-from jepq.cli import main
+from jepq.cli import _exact_str, _state_key, main
+from jepq.jep import BoundedGeometric, BoundedUniform, stationary_distribution, stationary_weights
 
 
 def run_cli(argv):
@@ -78,6 +79,41 @@ def test_stationary_uniform_model():
     code, out = run_cli(["stationary", "--m", "3", "--n", "2", "--q", "1"])
     assert code == 0
     assert {row["state"]: row["prob"] for row in json.loads(out)["rows"]} == rows
+
+
+@pytest.mark.parametrize("law", [["--q", "1/2"], ["--q", "3/7"], ["--q", "2/3"],
+                                 ["--model", "bounded-uniform"]])
+def test_stationary_integer_cells_match_the_fraction_law(law):
+    # the exact cells are reduced in integers; the library's Fractions, as `str`
+    # formats them, are the reference
+    for m in range(9):
+        for n in range(m + 1):
+            model = BoundedGeometric(m, n, F(law[1])) if law[0] == "--q" else BoundedUniform(m, n)
+            code, out = run_cli(["stationary", "--m", str(m), "--n", str(n), *law])
+            assert code == 0
+            rows = json.loads(out)["rows"]
+            weights, probs = stationary_weights(model), stationary_distribution(model)
+            assert [row["state"] for row in rows] == [_state_key(s) for s in probs]
+            for row, w, p in zip(rows, weights.values(), probs.values()):
+                assert row["weight"] == str(w) == _exact_str(w.numerator, w.denominator)
+                assert row["prob"] == str(p) == _exact_str(p.numerator, p.denominator)
+                assert row["prob_float"] == float(p)
+
+
+@pytest.mark.parametrize(
+    "q, digest",
+    [
+        # a float q, whose cells stay float arithmetic
+        ("0.3", "90dc6d356086b71378aed33c1d8b86748b034e29b3e34598fc7712c215a0aecc"),
+        ("3/7", "44ed5e752880f702967d3786d4203202c22eead13e0fd4d80b79558551c9cd56"),
+    ],
+)
+def test_stationary_cells_pinned(q, digest):
+    # digests recorded while every exact cell was built as a Fraction and every
+    # report went through json.dump
+    code, out = run_cli(["stationary", "--m", "8", "--n", "4", "--q", q])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_passes_and_is_deterministic():

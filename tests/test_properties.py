@@ -2,8 +2,12 @@
 exit codes over drawn parameters. Examples are derived from each test's name, so every run draws
 the same ones."""
 
+import argparse
 import io
+import json
 import math
+import os
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
@@ -12,7 +16,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from jepq.cli import _COMMANDS, _OPTIONS, main
+from jepq.cli import _COMMANDS, _OPTIONS, _emit, main
 from jepq.jep import BoundedGeometric, _step, step_kernel_row
 from jepq.mc import RngStream, _rank
 from jepq.rook import enumerate_configs, extended_kernel_row, row_projection
@@ -175,3 +179,50 @@ def test_hostile_argv_exits_cleanly(command, data):
             code = info.code
     assert code in (0, 1, 2), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+# every scalar kind a report holds, with the strings and floats whose JSON
+# forms differ most: escapes, non-ASCII, long ints and the non-finite floats
+json_scalars = st.one_of(
+    st.text(),
+    st.text(alphabet='"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'),
+    st.booleans(),
+    st.none(),
+    st.integers(-(10**300), 10**300),
+    st.floats(),
+    st.sampled_from([-0.0, 1e308, 5e-324, math.nan, math.inf, -math.inf]),
+)
+json_summaries = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def json_reports(draw):
+    """A report head, its columns, rows of scalars in column order and the rows' key."""
+    rows_key = draw(st.sampled_from(["rows", "checks"]))
+    report = draw(st.dictionaries(st.text().filter(lambda k: k != rows_key), json_summaries,
+                                  max_size=3))
+    columns = draw(st.lists(st.text(), min_size=1, max_size=4, unique=True))
+    row = st.tuples(*[json_scalars] * len(columns))
+    return report, tuple(columns), draw(st.lists(row, max_size=4)), rows_key
+
+
+@fixed
+@given(json_reports())
+def test_emitted_json_is_json_dumps_layout(case):
+    report, columns, rows, rows_key = case
+    expected = io.StringIO()
+    json.dump({**report, rows_key: [dict(zip(columns, r)) for r in rows]}, expected, indent=2)
+    expected.write("\n")
+    out = io.StringIO()
+    with redirect_stdout(out):
+        _emit(report, columns, rows, argparse.Namespace(format="json", out=None), rows_key)
+    assert out.getvalue() == expected.getvalue()
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "report.json")
+        _emit(report, columns, rows, argparse.Namespace(format="json", out=path), rows_key)
+        with open(path, encoding="ascii", newline="") as handle:
+            assert handle.read() == expected.getvalue()

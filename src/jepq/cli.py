@@ -133,21 +133,17 @@ def _cmd_stationary(args) -> int:
     if args.model == "unbounded-geometric":
         raise ValueError("stationary tables need a bounded model")
     model = _build_model(args)
-    div, scale, stream = _numerators(model.m, model.n, model.q, enumerate_states(model.m, model.n))
+    # q is exact here (stationary always reads --q exactly). With the int scale and
+    # Z scale = zn/zd in lowest terms, w/scale and w zd/zn are each reduced by one gcd
+    # with w, and w zd / zn is the correctly rounded float.
+    _, scale, stream = _numerators(model.m, model.n, model.q, enumerate_states(model.m, model.n))
     z = partition_z(model.m, model.n, model.q)
-    rows, z_scaled = [], z * scale
-    if isinstance(model.q, float):
-        for state, w in stream:
-            weight, prob = div(w, scale), div(w, z_scaled)
-            rows.append((_state_key(state), _scalar_cell(weight), _scalar_cell(prob), float(prob)))
-    else:
-        # The int scale and Z scale = zn/zd in lowest terms: w/scale and w zd/zn are each
-        # reduced by one gcd with w, and w zd / zn is the correctly rounded float.
-        zn, zd = z_scaled.numerator, z_scaled.denominator
-        for state, w in stream:
-            g, h = gcd(w, scale), gcd(w, zn)
-            weight, prob = _exact_str(w // g, scale // g), _exact_str(w // h * zd, zn // h)
-            rows.append((_state_key(state), weight, prob, w * zd / zn))
+    z_scaled = z * scale
+    zn, zd, rows = z_scaled.numerator, z_scaled.denominator, []
+    for state, w in stream:
+        g, h = gcd(w, scale), gcd(w, zn)
+        weight, prob = _exact_str(w // g, scale // g), _exact_str(w // h * zd, zn // h)
+        rows.append((_state_key(state), weight, prob, w * zd / zn))
     summary: dict = {"m": args.m, "n": args.n, "model": args.model}
     if model.n:
         stats = closed_form_stats(model.m, model.n, model.q)

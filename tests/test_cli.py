@@ -103,7 +103,7 @@ def test_stationary_integer_cells_match_the_fraction_law(law):
 @pytest.mark.parametrize(
     "q, digest",
     [
-        # a float q, whose cells stay float arithmetic
+        # q = 3/10 read exactly (stationary has no --exact), so a != 1 and b = 10
         ("0.3", "90dc6d356086b71378aed33c1d8b86748b034e29b3e34598fc7712c215a0aecc"),
         ("3/7", "44ed5e752880f702967d3786d4203202c22eead13e0fd4d80b79558551c9cd56"),
     ],

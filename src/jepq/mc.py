@@ -5,6 +5,9 @@ through the SplitMix64 finalizer): a draw is a 53-bit integer, the same pure fun
 of (seed, stream, call index) on any platform, and replicas get independent streams
 by mixing the replica index into the seed. Ranks go through the platform's
 ``math.log`` (`_rank`), so trajectories reproduce bit for bit where it rounds alike.
+A block of draws is ranked by a table on each draw's top byte, with a bisect among the
+law's thresholds (or `_rank` past them) for a byte that spans a rank boundary. The coupled
+run moves both chains by one transition while they share a state and their ranks agree.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import islice
+from operator import length_hint
 
 from .qcomb import Scalar
 from .jep import (
@@ -31,8 +35,6 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 # a run draws uniforms in blocks of at most this many, never past what it can use
 _MAX_BLOCK = 512
-# the step to each lane's low word among a block's native-order 64-bit words, lane 0 first
-_LOW = 2 if sys.byteorder == "little" else -2
 _MAX_RANKS = 64
 
 __all__ = [
@@ -61,6 +63,13 @@ def _block_constants() -> tuple[int, int, int]:
     return ones, ones * _MASK64, int.from_bytes(gammas, "little")
 
 
+def _words(block: bytes) -> memoryview:
+    """A block's 64-bit little-endian words, in order: the draw of lane i is word 2i >> 11."""
+    if sys.byteorder == "little":
+        return memoryview(block).cast("Q")
+    return memoryview(block[::-1]).cast("Q")[::-1]  # reversed, each word reads big-endian
+
+
 class RngStream:
     """Deterministic generator: output i of stream s under seed x is
     mix64(mix64(x XOR mix64(s * GAMMA)) + i * GAMMA).
@@ -71,28 +80,29 @@ class RngStream:
     def __init__(self, seed: int, stream: int = 0):
         if not 0 <= seed <= _MASK64:
             raise ValueError(f"seed must fit in 64 bits, got {seed}")
+        if not 0 <= stream <= _MASK64:
+            raise ValueError(f"stream must fit in 64 bits, got {stream}")
         self._counter = _mix64(seed ^ _mix64(stream * _GAMMA & _MASK64))
 
     def uniforms(self, k: int) -> list[float]:
         """The next k floats in [0, 1), 53 random bits each; the stream advances by k."""
         if k < 0:
             raise ValueError(f"need k >= 0, got {k}")
-        return list(map((2.0**-53).__mul__, self._draws(k)))
-
-    def _draws(self, k: int) -> list[int]:
-        """The next k draws as integers in [0, 2^53): draw d is the uniform d * 2^-53."""
-        ones, words, gammas = _block_constants()
-        out, c = [], self._counter
+        out = []
         for start in range(0, k, _MAX_BLOCK):
-            b = min(k - start, _MAX_BLOCK)  # b draws take the low 128b bits of each constant
-            low = (1 << 128 * b) - 1
-            mask = words & low
-            # past >> 11, lane i's low word is draw i: the next lane's bits land above bit 85
-            z = _mix64((c * (ones & low) + (gammas & low)) & mask, mask) >> 11
-            out += memoryview(z.to_bytes(16 * b, sys.byteorder)).cast("Q")[::_LOW].tolist()
-            c = (c + b * _GAMMA) & _MASK64
-        self._counter = c
+            words = _words(self._block(min(k - start, _MAX_BLOCK)))
+            out += [(w >> 11) * 2.0**-53 for w in words[::2]]
         return out
+
+    def _block(self, k: int) -> bytes:
+        """The next k <= _MAX_BLOCK draws, 16 little-endian bytes each: lane i's low 8 bytes are a
+        word whose top 53 bits are draw i, so byte 16i + 7 is its top byte (d >> 45); the high 8
+        bytes are unused."""
+        ones, words, gammas = _block_constants()
+        low = (1 << 128 * k) - 1
+        mask = words & low
+        c, self._counter = self._counter, (self._counter + k * _GAMMA) & _MASK64
+        return _mix64((c * (ones & low) + (gammas & low)) & mask, mask).to_bytes(16 * k, "little")
 
 
 def _rank(u: float, log_q: float, mass: float = 1.0, ell: float = math.inf) -> int:
@@ -106,19 +116,42 @@ def _rank(u: float, log_q: float, mass: float = 1.0, ell: float = math.inf) -> i
 
 @lru_cache(maxsize=16)
 def _ranker(model: ThrowModel):
-    """`_rank` of ``model``'s throw law on blocks of draws d (u = d * 2^-53): a bisect among the
-    least draws of rank 1, 2, ..., _MAX_RANKS, found by binary search over `_rank` (so the two
-    agree wherever `_rank` is monotone in d), or `_rank` past them. Replicas share one table."""
+    """`_rank` of ``model``'s throw law on a block of draws (`RngStream._block`; u = d * 2^-53).
+    A draw's top byte indexes a table of the rank every draw with that byte has, or of 255 where
+    the bucket holds one of the least draws of rank 1, 2, ..., _MAX_RANKS (found by binary search
+    over `_rank`, so the two agree wherever `_rank` is monotone in d) or reaches the last. A marked
+    draw bisects among them, or goes through `_rank` past them. Replicas share one table."""
     q = float(model.q)
     law = () if isinstance(model, UnboundedGeometric) else (1.0 - q**model.ell, model.ell)
-    rank = lambda d, log_q=math.log(q): _rank(d * 2.0**-53, log_q, *law)
-    top = min(rank(2**53 - 1), _MAX_RANKS)
-    lookup = partial(bisect_right, [bisect_left(range(2**53), r, key=rank) for r in range(1, top + 1)])
-    def ranks(draws: list[int]) -> list[int]:
-        out = list(map(lookup, draws))
-        if _MAX_RANKS in out:
-            out = [r if r < _MAX_RANKS else rank(d) for r, d in zip(out, draws)]
+    rank = lambda w, log_q=math.log(q): _rank((w >> 11) * 2.0**-53, log_q, *law)
+    top = min(rank(_MASK64), _MAX_RANKS)
+    firsts = range(0, 2**64, 2**11)  # the least word of each draw: lookup and rank read words
+    thresholds = [firsts[bisect_left(firsts, r, key=rank)] for r in range(1, top + 1)]
+    lookup = partial(bisect_right, thresholds)
+    spans = ((lookup(b << 56), lookup((b + 1 << 56) - 1)) for b in range(256))
+    table = bytes(lo if lo == hi < _MAX_RANKS else 255 for lo, hi in spans)
+    dense = table.count(255) > 128  # near q = 1, bisecting every draw beats finding the marked ones
+
+    def ranks(block: bytes) -> bytes | list[int]:
+        tops = block[7::16].translate(table)
+        i = tops.find(255)
+        if i < 0:
+            return tops
+        words = _words(block)
+        if dense:
+            words = words[::2].tolist()
+            out = list(map(lookup, words))
+            if _MAX_RANKS in out:
+                out = [r if r < _MAX_RANKS else rank(w) for r, w in zip(out, words)]
+            return out
+        out = list(tops)
+        while i >= 0:
+            r = out[i] = lookup(words[2 * i])
+            if r == _MAX_RANKS:
+                out[i] = rank(words[2 * i])
+            i = tops.find(255, i + 1)
         return out
+
     return ranks
 
 
@@ -194,21 +227,20 @@ def simulate(model: ThrowModel, initial: State, steps: int, seed: int, stream: i
     rng, ranks = RngStream(seed, stream), _ranker(model)
     table = _Successors(initial)
     rows, table_states, step = table.rows, table.states, table.step
-    states, block = [initial], []
-    current = pos = drawn = 0
-    for t in range(steps):
-        row = rows[current]
-        if type(row) is int:
-            current = row
-        elif row is None:
-            current = step(current, None)
-        else:
-            if pos == len(block):  # each remaining step throws at most once, taking one draw
-                block, pos, drawn = ranks(rng._draws(min(_MAX_BLOCK, steps - t))), 0, drawn + pos
-            r, pos = block[pos], pos + 1
+    states, end = [initial], steps + 1
+    current = throws = 0
+    while len(states) < end:
+        # each remaining step throws at most once, taking one rank; a fall takes none
+        for r in ranks(rng._block(min(_MAX_BLOCK, end - len(states)))):
+            while type(row := rows[current]) is not dict and len(states) < end:
+                current = step(current, None) if row is None else row
+                states.append(table_states[current])
+            if len(states) == end:
+                break
             current = row[r] if r in row else step(current, r)
-        states.append(table_states[current])
-    return Trajectory(initial=initial, states=states, throw_count=drawn + pos)
+            states.append(table_states[current])
+            throws += 1
+    return Trajectory(initial=initial, states=states, throw_count=throws)
 
 
 def empirical_distribution(traj: Trajectory, burn_in: int = 1000) -> dict[State, float]:
@@ -235,32 +267,38 @@ def coupled_simulate(
     A pair is consumed every step whether or not a throw happens, so the two
     paths agree through step t, with probability exactly (1 - q^ell)^t,
     whenever the first t pairs agree."""
+    if steps < 0:
+        raise ValueError(f"need steps >= 0, got {steps}")
     bounded = BoundedGeometric(m, n, q)
     geometric = _ranker(UnboundedGeometric(n, q))  # checks 0 < q < 1
     validate_state(initial, bounded)
     rng, ell, truncated = RngStream(seed, stream), bounded.ell, _ranker(bounded)
     table = _Successors(initial)
     rows, table_states, step = table.rows, table.states, table.step
-    b_states, u_states, block = [initial], [initial], []
-    b_cur = u_cur = pos = 0
+    b_states, u_states = [initial], [initial]
+    b_cur = u_cur = t = 0
     decouple: int | None = None
-    for t in range(1, steps + 1):
-        # every step takes a draw; a residual draw past the block takes the next one
-        if pos >= len(block):
-            xis, pos = geometric(block := rng._draws(min(_MAX_BLOCK, steps - t + 1))), 0
-        xi = xi_hat = xis[pos]
-        pos += 1
-        if xi >= ell:
-            xi_hat = truncated([block[pos] if pos < len(block) else rng._draws(1)[0]])[0]
-            pos += 1
-            decouple = decouple or t
-        row = rows[b_cur]
-        j = row if type(row) is int else None if row is None else row.get(xi_hat)
-        b_cur = step(b_cur, None if row is None else xi_hat) if j is None else j
-        row = rows[u_cur]
-        j = row if type(row) is int else None if row is None else row.get(xi)
-        u_cur = step(u_cur, None if row is None else xi) if j is None else j
-        b_states.append(table_states[b_cur])
-        u_states.append(table_states[u_cur])
-        assert decouple or b_cur == u_cur, "coupled paths must agree while draws agree"
+    while t < steps:  # every step takes at least one draw
+        xis = iter(geometric(block := rng._block(min(_MAX_BLOCK, steps - t))))
+        for xi in xis:
+            t += 1
+            # one state and an agreeing pair: one transition moves both chains
+            xi_hat, shared = xi, xi < ell and b_cur == u_cur
+            if xi >= ell:  # the residual draw is the block's next lane, or a fresh one past it
+                i = len(block) - 16 * length_hint(xis)
+                xi_hat = truncated(block[i : i + 16] or rng._block(1))[0]
+                next(xis, None)
+                decouple = decouple or t
+            row = rows[b_cur]
+            j = row if type(row) is int else None if row is None else row.get(xi_hat)
+            b_cur = step(b_cur, None if row is None else xi_hat) if j is None else j
+            if shared:
+                u_cur = b_cur
+            else:
+                row = rows[u_cur]
+                j = row if type(row) is int else None if row is None else row.get(xi)
+                u_cur = step(u_cur, None if row is None else xi) if j is None else j
+            b_states.append(table_states[b_cur])
+            u_states.append(table_states[u_cur])
+            assert decouple or b_cur == u_cur, "coupled paths must agree while draws agree"
     return CoupledRun(decouple, b_states, u_states)

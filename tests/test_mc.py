@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 from fractions import Fraction as F
 from itertools import count, islice
 
@@ -41,6 +42,14 @@ def test_rng_reproducibility():
     assert c.uniforms(1) != RngStream(12345, stream=7).uniforms(1)
     with pytest.raises(ValueError):
         RngStream(-1)
+
+
+@pytest.mark.parametrize("stream", [-1, 2**64, 2**64 + 7])
+def test_rng_rejects_streams_outside_64_bits(stream):
+    # stream 2^64 would replay stream 0, and stream -1 stream 2^64 - 1
+    with pytest.raises(ValueError, match="stream must fit in 64 bits"):
+        RngStream(1, stream)
+    assert RngStream(1, 2**64 - 1).uniforms(3) != RngStream(1, 0).uniforms(3)
 
 
 def test_rng_uniform_range():
@@ -167,10 +176,12 @@ def test_uniform_sampler_fits_pmf():
     ],
 )
 def test_table_sampler_fits_pmf(model, seed, bins, dof):
-    # the chi-square tests above, on the same draws ranked through the threshold table
+    # the chi-square tests above, on the same draws ranked as the runs rank them
     total = 1_000_000
     counts: dict[int, int] = {}
-    for x in mc._ranker(model)(RngStream(seed)._draws(total)):
+    rng, ranks = RngStream(seed), mc._ranker(model)
+    blocks = (rng._block(min(total - i, mc._MAX_BLOCK)) for i in range(0, total, mc._MAX_BLOCK))
+    for x in (x for block in blocks for x in ranks(block)):
         x = min(x, max(bins))  # the geometric case lumps its tail into the last bin
         counts[x] = counts.get(x, 0) + 1
     assert set(counts) <= set(bins)
@@ -184,6 +195,13 @@ def first_draw_of_rank(rank, r):
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if rank(mid) >= r else (mid + 1, hi)
     return lo
+
+
+def as_block(draws):
+    """``draws`` laid out as `RngStream._block` lays them out, each under 11 random low bits and a
+    random high word, which ranking must ignore."""
+    junk = random.Random(0).getrandbits
+    return b"".join((d << 11 | junk(11) | junk(64) << 64).to_bytes(16, "little") for d in draws)
 
 
 TABLE_QS = [F(1, 2), 0.3, 0.9, 0.99, 0.99999, 1e-300]
@@ -205,7 +223,8 @@ def test_rank_table_matches_rank(model):
     q = float(model.q)
     ell = None if isinstance(model, UnboundedGeometric) else model.ell
     rank = lambda d: reference_rank(d / 2**53, q, ell)
-    ranks = mc._ranker(model)
+    ranker = mc._ranker(model)
+    ranks = lambda draws: list(ranker(as_block(draws)))
     # every threshold the table can hold, and two past its cap, where draws go through `_rank`
     top = min(rank(2**53 - 1), mc._MAX_RANKS + 2)
     if q == 1e-300:
@@ -215,8 +234,14 @@ def test_rank_table_matches_rank(model):
         assert rank(t - 1) < r <= rank(t)
         near = list(range(max(t - 4096, 0), min(t + 4097, 2**53)))
         assert ranks(near) == [rank(d) for d in near]
-    draws = RngStream(18, ell or 0)._draws(10**5) + [0, 2**53 - 1]
-    assert ranks(draws) == [rank(d) for d in draws]
+    # each edge of each top-byte bucket
+    edges = [d for b in range(257) for d in (b * 2**45 - 1, b * 2**45, b * 2**45 + 1) if 0 <= d < 2**53]
+    assert ranks(edges) == [rank(d) for d in edges]
+    draws = [int(u * 2**53) for u in RngStream(18, ell or 0).uniforms(10**5)] + [0, 2**53 - 1]
+    got = ranks(draws)
+    assert got == [rank(d) for d in draws]
+    if q == 0.99999 and ell is None:
+        assert max(got) > 255  # a rank past the table's byte comes back whole
 
 
 def test_simulate_deterministic_fall():
@@ -383,13 +408,13 @@ def test_coupled_simulate_matches_reference_loop_at_block_edges(m, n, steps):
 
 def test_runs_draw_no_more_uniforms_than_they_can_use(monkeypatch):
     drawn = []
-    draws = RngStream._draws
+    block = RngStream._block
 
     def recording(self, k):
         drawn.append(k)
-        return draws(self, k)
+        return block(self, k)
 
-    monkeypatch.setattr(RngStream, "_draws", recording)
+    monkeypatch.setattr(RngStream, "_block", recording)
     cases = [
         (BoundedGeometric(4, 0, F(1, 2)), ()),
         (BoundedGeometric(12, 2, F(1, 2)), (0, 1)),
@@ -489,6 +514,14 @@ def test_coupled_throw_pair_statistics():
     pmf = truncated_geometric_pmf(4, F(1, 2))
     for x in range(4):
         assert abs(hist[x] / total - float(pmf[x])) < 0.005
+
+
+def test_coupled_simulate_rejects_negative_steps():
+    with pytest.raises(ValueError, match="need steps >= 0"):
+        coupled_simulate(6, 3, F(1, 2), (0, 1, 2), -5, 1)
+    with pytest.raises(ValueError, match="need steps >= 0"):
+        simulate(BoundedGeometric(6, 3, F(1, 2)), (0, 1, 2), -5, 1)
+    assert coupled_simulate(6, 3, F(1, 2), (0, 1, 2), 0, 1).bounded_states == [(0, 1, 2)]
 
 
 def test_coupled_simulate_reproducible_and_consistent():

@@ -13,7 +13,7 @@ run moves both chains by one transition while they share a state and their ranks
 from __future__ import annotations
 
 import math
-import sys
+import struct
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -36,6 +36,7 @@ _GAMMA = 0x9E3779B97F4A7C15
 # a run draws uniforms in blocks of at most this many, never past what it can use
 _MAX_BLOCK = 512
 _MAX_RANKS = 64
+_LANE = struct.Struct("<Q8x")  # a lane of a block: the word whose top 53 bits are the draw
 
 __all__ = [
     "RngStream",
@@ -63,13 +64,6 @@ def _block_constants() -> tuple[int, int, int]:
     return ones, ones * _MASK64, int.from_bytes(gammas, "little")
 
 
-def _words(block: bytes) -> memoryview:
-    """A block's 64-bit little-endian words, in order: the draw of lane i is word 2i >> 11."""
-    if sys.byteorder == "little":
-        return memoryview(block).cast("Q")
-    return memoryview(block[::-1]).cast("Q")[::-1]  # reversed, each word reads big-endian
-
-
 class RngStream:
     """Deterministic generator: output i of stream s under seed x is
     mix64(mix64(x XOR mix64(s * GAMMA)) + i * GAMMA).
@@ -88,11 +82,8 @@ class RngStream:
         """The next k floats in [0, 1), 53 random bits each; the stream advances by k."""
         if k < 0:
             raise ValueError(f"need k >= 0, got {k}")
-        out = []
-        for start in range(0, k, _MAX_BLOCK):
-            words = _words(self._block(min(k - start, _MAX_BLOCK)))
-            out += [(w >> 11) * 2.0**-53 for w in words[::2]]
-        return out
+        blocks = (self._block(min(k - i, _MAX_BLOCK)) for i in range(0, k, _MAX_BLOCK))
+        return [(w >> 11) * 2.0**-53 for block in blocks for w, in _LANE.iter_unpack(block)]
 
     def _block(self, k: int) -> bytes:
         """The next k <= _MAX_BLOCK draws, 16 little-endian bytes each: lane i's low 8 bytes are a
@@ -130,28 +121,18 @@ def _ranker(model: ThrowModel):
     lookup = partial(bisect_right, thresholds)
     spans = ((lookup(b << 56), lookup((b + 1 << 56) - 1)) for b in range(256))
     table = bytes(lo if lo == hi < _MAX_RANKS else 255 for lo, hi in spans)
-    dense = table.count(255) > 128  # near q = 1, bisecting every draw beats finding the marked ones
-
+    cap = thresholds[-1] if top == _MAX_RANKS else 2**64  # where lookup would give the cap
     def ranks(block: bytes) -> bytes | list[int]:
         tops = block[7::16].translate(table)
         i = tops.find(255)
         if i < 0:
             return tops
-        words = _words(block)
-        if dense:
-            words = words[::2].tolist()
-            out = list(map(lookup, words))
-            if _MAX_RANKS in out:
-                out = [r if r < _MAX_RANKS else rank(w) for r, w in zip(out, words)]
-            return out
         out = list(tops)
         while i >= 0:
-            r = out[i] = lookup(words[2 * i])
-            if r == _MAX_RANKS:
-                out[i] = rank(words[2 * i])
+            (w,) = _LANE.unpack_from(block, 16 * i)
+            out[i] = lookup(w) if w < cap else rank(w)
             i = tops.find(255, i + 1)
         return out
-
     return ranks
 
 
@@ -229,17 +210,21 @@ def simulate(model: ThrowModel, initial: State, steps: int, seed: int, stream: i
     rows, table_states, step = table.rows, table.states, table.step
     states, end = [initial], steps + 1
     current = throws = 0
+    pending = iter(())  # the ranks drawn and not yet used
     while len(states) < end:
-        # each remaining step throws at most once, taking one rank; a fall takes none
-        for r in ranks(rng._block(min(_MAX_BLOCK, end - len(states)))):
-            while type(row := rows[current]) is not dict and len(states) < end:
-                current = step(current, None) if row is None else row
-                states.append(table_states[current])
-            if len(states) == end:
-                break
+        row = rows[current]
+        if type(row) is not dict:  # a fall takes no rank
+            current = step(current, None) if row is None else row
+            states.append(table_states[current])
+            continue
+        for r in pending:  # throw until the chain falls or the run ends
             current = row[r] if r in row else step(current, r)
             states.append(table_states[current])
             throws += 1
+            if type(row := rows[current]) is not dict or len(states) == end:
+                break
+        else:  # a throw and no rank left: each remaining step throws at most once
+            pending = iter(ranks(rng._block(min(_MAX_BLOCK, end - len(states)))))
     return Trajectory(initial=initial, states=states, throw_count=throws)
 
 

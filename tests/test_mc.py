@@ -417,6 +417,7 @@ def test_runs_draw_no_more_uniforms_than_they_can_use(monkeypatch):
     monkeypatch.setattr(RngStream, "_block", recording)
     cases = [
         (BoundedGeometric(4, 0, F(1, 2)), ()),
+        (BoundedGeometric(5, 2, F(1, 2)), (1, 3)),  # falls before the first throw
         (BoundedGeometric(12, 2, F(1, 2)), (0, 1)),
         (BoundedGeometric(3, 3, F(1, 2)), (0, 1, 2)),
         (UnboundedGeometric(3, F(1, 2)), (0, 1, 2)),
@@ -426,6 +427,7 @@ def test_runs_draw_no_more_uniforms_than_they_can_use(monkeypatch):
             drawn.clear()
             traj = simulate(model, initial, steps, seed=steps)
             assert traj.throw_count <= sum(drawn) <= steps
+            assert traj.throw_count or not drawn  # a block is drawn only when a throw needs a rank
             assert max(drawn, default=0) <= mc._MAX_BLOCK
         for m, n in ((6, 3), (3, 3)):
             drawn.clear()

@@ -53,6 +53,8 @@ class TransitionMatrix:
         self.states = list(states)
         self.rows = list(rows)
         self.pos = {s: i for i, s in enumerate(self.states)}
+        if len(self.pos) != len(self.states):
+            raise ValueError("duplicate states")
 
     def __len__(self) -> int:
         return len(self.states)
@@ -90,26 +92,60 @@ _MERSENNE_EXPONENTS = (127, 521, 1279, 2203, 4423, 9689, 19937, 44497, 86243, 21
 
 
 def solve_stationary(tm: TransitionMatrix) -> dict:
-    """The unique stationary distribution of an ergodic kernel with rational entries;
-    a float kernel is rejected. State reduction (Grassmann, Taksar and Heyman) runs
-    mod a Mersenne prime with no pivoting: exact entries stay nonnegative, so supports
-    are kept exactly, zero residues included. Rational reconstruction gives weights
-    N >= 0, returned only if N P = N in integers (every state reaches state 0, so N is
-    the law); else the next prime is tried, and ValueError is raised after the last."""
+    """The unique stationary distribution of an ergodic kernel whose rows are laws on its
+    states, with rational entries; any other kernel is refused before the first prime. State
+    reduction (Grassmann, Taksar and Heyman) runs mod a Mersenne prime with no pivoting: exact
+    entries stay nonnegative, so supports are kept exactly, zero residues included. Rational
+    reconstruction gives weights N >= 0, returned only if N P = N in integers (every state
+    reaches state 0, so N is the law); else the next prime, and ValueError after the last."""
     if len(tm) == 0:
         raise ValueError("empty state space")
-    if not tm.is_exact():
-        raise ValueError("solve_stationary needs an exact kernel; build it with a rational q")
-    # the entry i -> j is scaled[i][j] / lcm, zero entries dropped
-    lcm = math.lcm(*(p.denominator for row in tm.rows for p in row.values()))
-    scaled = [{tm.pos[succ]: p.numerator * (lcm // p.denominator) for succ, p in row.items() if p}
-              for row in tm.rows]
+    lcm, scaled = _scaled(tm)
     for e in _MERSENNE_EXPONENTS:
         weights = _certified_weights(scaled, lcm, (1 << e) - 1)
         if weights is not None:
             total = sum(weights)
             return {state: Fraction(w, total) for w, state in zip(weights, tm.states)}
     raise ValueError("no prime in the ladder certifies the stationary law")
+
+
+def _scaled(tm: TransitionMatrix) -> tuple[int, list[dict]]:
+    """L, the lcm of the entry denominators, and the rows as {successor index: entry L}, zero
+    entries dropped; ValueError unless the kernel is exact and every row a law on its states."""
+    if not tm.is_exact():
+        raise ValueError("solve_stationary needs an exact kernel; build it with a rational q")
+    lcm = math.lcm(*(p.denominator for row in tm.rows for p in row.values()))
+    try:
+        scaled = [{tm.pos[succ]: p.numerator * (lcm // p.denominator) for succ, p in row.items() if p}
+                  for row in tm.rows]
+    except KeyError as err:  # the first successor, in row order, that is not a state
+        raise ValueError(f"successor {err.args[0]!r} is not a state") from None
+    for state, row in zip(tm.states, scaled):
+        if min(row.values(), default=0) < 0 or sum(row.values()) != lcm:
+            raise ValueError(f"the row of {state!r} is not a probability law")
+    return lcm, scaled
+
+
+def _balanced(scaled: list[dict], lcm: int, weights: list[int]) -> bool:
+    """Whether N P = N for integer weights N, with P = scaled / lcm."""
+    flow = [0] * len(weights)  # N P, over lcm
+    for w, row in zip(weights, scaled):
+        for j, v in row.items():
+            flow[j] += w * v
+    return flow == [w * lcm for w in weights]
+
+
+def _over_lcm(law: dict) -> tuple[int, dict]:
+    """D, the lcm of an exact law's denominators, and the law as {key: mass D}."""
+    common = math.lcm(*(p.denominator for p in law.values()))
+    return common, {key: p.numerator * (common // p.denominator) for key, p in law.items()}
+
+
+def _is_stationary(tm: TransitionMatrix, law: dict) -> bool:
+    """Whether a law on exactly the states of tm has law P = law, certified in integers."""
+    lcm, scaled = _scaled(tm)  # raises as `solve_stationary` does for a kernel it refuses
+    weights = _over_lcm(law)[1]
+    return law.keys() == tm.pos.keys() and _balanced(scaled, lcm, [weights[s] for s in tm.states])
 
 
 def _certified_weights(scaled: list[dict], lcm: int, p: int) -> list[int] | None:
@@ -149,11 +185,7 @@ def _certified_weights(scaled: list[dict], lcm: int, p: int) -> list[int] | None
                 return None  # no fraction this small: p is too narrow
             common = common * den % p  # never 0: each factor is below p
     weights = [common * x % p for x in pi]  # in [0, p), so N >= 0
-    flow = [0] * n  # N P, over lcm
-    for w, row in zip(weights, scaled):
-        for j, v in row.items():
-            flow[j] += w * v
-    return weights if flow == [w * lcm for w in weights] else None
+    return weights if _balanced(scaled, lcm, weights) else None
 
 
 def _denominator(y: int, p: int, bound: int) -> int:

@@ -6,8 +6,10 @@ polynomials L, R in q or 1/q. If L - R has coefficients below t in absolute
 value, L = R at q = t or 1/t only if L = R for every q (t = 1 + L(1) + R(1) will
 do for nonnegative L, R), so each check states its t and evaluates once there.
 Only `stationary-vs-solver`, `tv-bounds` and the Euler-product inequalities
-sample q. The CLI `verify` subcommand runs them all, one line per check. A check
-that raises fails, with the exception as its detail, and the others still run.
+sample q. Balance, law P = law, is the solver's N P = N certificate, and law sums
+are integers over one common denominator. The CLI `verify` subcommand runs them
+all, one line per check. A check that raises fails, with the exception as its
+detail, and the others still run.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from .jep import (
     UnboundedGeometric,
 )
 from .oracle import (
+    _is_stationary,
+    _over_lcm,
     build_extended_matrix,
     build_transition_matrix,
     solve_stationary,
@@ -41,11 +45,10 @@ from .oracle import (
 from .rook import (
     _check_placements,
     _extensions_with_circ,
+    _successors,
     circ_histogram,
-    enumerate_configs,
     extended_distribution,
     extended_ground,
-    path_to_ground,
     row_projection,
 )
 
@@ -179,27 +182,31 @@ def _check_extended_chain(max_m: int, qs) -> tuple[bool, str]:
     top = min(max_m, 6)
     for m in range(1, top + 1):
         for n in range(0, m + 1):
-            configs = enumerate_configs(m, n)
-            for config in configs:
-                if path_to_ground(m, config)[-1] != extended_ground(n):
-                    return False, f"ground unreachable from {config}"
             # Cleared of G(1/q), [ell]_q and Z(q), the sides below are nonnegative; at q = 1 they
             # are N, G(1); at most ell N (N rows), ell; at most N Z(1), ell^n G(1) (weights <= ell^n)
-            ell, size = m - n + 1, len(configs)
+            ell, size = m - n + 1, _classical_stirling(m + 1, m + 1 - n)
             g, z = gould_stirling(m + 1, m - n + 1, 1), partition_z(m, n, 1)
             q = Fraction(1, 1 + max(size + g, ell * (size + 1), size * z + ell**n * g))
             tm = build_extended_matrix(m, n, q)
+            reached = {extended_ground(n)}  # `path_to_ground`'s walks, each stopped once known
+            for path in ([config] for config in tm.states):
+                while path[-1] not in reached:
+                    if len(path) > (m + 1) * (m + 2):
+                        return False, f"ground unreachable from {path[0]}"
+                    path.append(_successors(m, path[-1])[0])
+                reached.update(path)
             mu = extended_distribution(m, n, q)
-            if sum(mu.values()) != 1:
+            common, weights = _over_lcm(mu)
+            if sum(weights.values()) != common:
                 return False, f"extended law not normalized at ({m},{n},{q})"
-            if tm.push(mu) != mu:
+            if not _is_stationary(tm, mu):
                 return False, f"extended law not stationary at ({m},{n},{q})"
             if n >= 1:
                 marginal = Counter()
-                for config, p in mu.items():
-                    marginal[row_projection(config)] += p
+                for config, w in weights.items():
+                    marginal[row_projection(config)] += w
                 closed = stationary_distribution(BoundedGeometric(m, n, q))
-                if marginal != closed:
+                if {state: Fraction(w, common) for state, w in marginal.items()} != closed:
                     return False, f"row projection off at ({m},{n},{q})"
     return True, f"extended law is stationary and projects correctly through m={top}"
 
@@ -229,23 +236,24 @@ def _check_balance(max_m: int, qs) -> tuple[bool, str]:
         bound = max((math.comb(m, n) + 1) * (m - n + 1) ** (n + 1) for n in range(1, m + 1))
         for n in range(1, m + 1):
             model = BoundedGeometric(m, n, Fraction(1, 1 + bound))
-            law = stationary_distribution(model)
-            if build_transition_matrix(model).push(law) != law:
+            if not _is_stationary(build_transition_matrix(model), stationary_distribution(model)):
                 return False, f"bounded law not stationary at ({m},{n},{model.q})"
     for n in range(1, 4):
         # Every predecessor of a state below height 11 lies below height 12, and a throw
         # landing below 11 has rank at most 10, so this one-step inflow is exact there. Cleared
         # of (q;q)_n q^-binom(n,2), inflow - mass has absolute coefficients summing to at most
         # 2 per move (a q-power times 1 or 1 - q), 11 binom(12, n) moves, plus 1: below t.
-        q = Fraction(1, 2 + 22 * math.comb(12, n))
-        throws = [(1 - q) * q**r for r in range(11)]
+        d = 2 + 22 * math.comb(12, n)
+        q, scale = Fraction(1, d), d**11
+        throws = [(d - 1) * d ** (10 - r) for r in range(11)]  # (1 - q) q^r, over d^11
         law = _unbounded_probs(UnboundedGeometric(n, q), enumerate_states(12, n))
+        weights = _over_lcm(law)[1]  # inflow is over the same lcm, times d^11
         inflow = Counter()
-        for state, mass in law.items():
-            for rank, p in enumerate(throws) if state[0] == 0 else [(None, 1)]:
-                inflow[_step(state, rank)] += p * mass
+        for state, w in weights.items():
+            for rank, p in enumerate(throws) if state[0] == 0 else [(None, scale)]:
+                inflow[_step(state, rank)] += p * w
         for state in enumerate_states(11, n):
-            if inflow[state] != law[state]:
+            if inflow[state] != weights[state] * scale:
                 return False, f"unbounded residual at B={state}, n={n}, q={q}"
     return True, f"balance holds everywhere through m={max_m} and below height 11"
 

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction as F
+from time import perf_counter
 
 import pytest
 
@@ -257,17 +258,61 @@ def test_random_kernels_match_fraction_free_reference():
         assert_exact_law(pi)
 
 
+def test_certificate_agrees_with_one_exact_step():
+    rng = random.Random(2813)
+    for size in range(1, 9):
+        tm = random_kernel(rng, size)
+        law = solve_stationary(tm)
+        assert oracle._is_stationary(tm, law)
+        assert tm.push(law) == law
+        if size > 1:  # one unit of numerator over the law's lcm moved from the last state to the first
+            unit = F(1, math.lcm(*(p.denominator for p in law.values())))
+            moved = {**law, 0: law[0] + unit, size - 1: law[size - 1] - unit}
+            assert sum(moved.values()) == 1 and min(moved.values()) >= 0
+            assert not oracle._is_stationary(tm, moved) and tm.push(moved) != moved
+        assert not oracle._is_stationary(tm, {s: p for s, p in law.items() if s != size - 1})
+        assert not oracle._is_stationary(tm, {**law, "extra": F(0)})
+    float_kernel = build_transition_matrix(BoundedGeometric(4, 2, 0.5))
+    with pytest.raises(ValueError) as solved:
+        solve_stationary(float_kernel)
+    with pytest.raises(ValueError) as certified:
+        oracle._is_stationary(float_kernel, {s: 0.5 for s in float_kernel.states})
+    assert str(certified.value) == str(solved.value)
+
+
+def _halved(tm, i):
+    """tm with row i halved, so that it no longer sums to 1."""
+    return TransitionMatrix(tm.states, [{s: p / 2 for s, p in row.items()} if j == i else row
+                                        for j, row in enumerate(tm.rows)])
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
         (lambda: TransitionMatrix(["x", "y"], [{"x": 1}]), "one row per state required"),
+        (lambda: TransitionMatrix(["x", "x"], [{"x": 1}, {"x": 1}]), "duplicate states"),
         (lambda: solve_stationary(TransitionMatrix([], [])), "empty state space"),
+        (lambda: solve_stationary(TransitionMatrix(["x"], [{"y": 1}])), "successor 'y' is not a state"),
+        (lambda: solve_stationary(TransitionMatrix(["x", "y"], [{"x": F(3, 2), "y": F(-1, 2)},
+                                                               {"x": F(1)}])),
+         "the row of 'x' is not a probability law"),  # a negative entry in a row that sums to 1
+        (lambda: solve_stationary(_halved(TransitionMatrix(["x", "y"], [{"y": F(1)}, {"x": F(1)}]), 1)),
+         "the row of 'y' is not a probability law"),
         (lambda: total_variation({"a": F(1)}, {"a": F(1)}, nu_tail=F(-1, 2)), "negative tail mass"),
     ],
 )
 def test_bad_arguments_are_rejected(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+def test_halved_row_is_refused_before_the_first_prime(primes_tried):
+    tm = _halved(build_transition_matrix(BoundedGeometric(6, 3, F(1, 2))), 0)
+    start = perf_counter()
+    with pytest.raises(ValueError, match=r"^the row of \(0, 1, 2\) is not a probability law$"):
+        solve_stationary(tm)
+    assert perf_counter() - start < 0.1
+    assert primes_tried == []
 
 
 def test_total_variation_basics():

@@ -108,8 +108,8 @@ BRANCHES = [
     ("extension-sums", "_extensions_with_circ",
      lambda pairs, heights, m: [(config[::-1], value) for config, value in pairs],
      "bad row projection at B=(0, 1)"),
-    ("extended-chain", "path_to_ground",
-     lambda path, m, config: [*path, None], "ground unreachable from ()"),
+    ("extended-chain", "_successors",  # a self-loop never reaches a placement known to ground
+     lambda succ, m, config: [config], "ground unreachable from ((0, 1),)"),
     ("extended-chain", "extended_distribution",
      lambda law, m, n, q: {c: 2 * p for c, p in law.items()}, "extended law not normalized at (1,0,"),
     ("extended-chain", "extended_distribution",
@@ -172,7 +172,7 @@ def test_raising_checks_are_fail_lines(monkeypatch, capsys):
         return fault
 
     monkeypatch.setattr(verify, "tv_to_unbounded", raiser(ValueError))
-    monkeypatch.setattr(verify, "path_to_ground", raiser(RuntimeError))
+    monkeypatch.setattr(verify, "_successors", raiser(RuntimeError))
     assert main(["verify", "--max-m", "4"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 9

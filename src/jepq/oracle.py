@@ -23,9 +23,8 @@ from .jep import (
     ThrowModel,
     UnboundedGeometric,
     _numerators,
-    _unbounded_probs,
+    check_state_cap,
     enumerate_states,
-    stationary_distribution,
     step_kernel_row,
 )
 from .rook import _extended_rows, enumerate_configs
@@ -230,23 +229,34 @@ class ConvergenceRow:
 
 
 def tv_to_unbounded(m: int, n: int, q: Scalar) -> ConvergenceRow:
-    """Exact total variation between the bounded law at (m, n, q) and the
-    unbounded law with the same n and q.
+    """Total variation between the bounded law at (m, n, q) and the unbounded law with the
+    same n and q: exact for an exact q, and summed with no cancelling term for a float q.
 
-    The bounded law is supported on height sets inside {0..m-1}, so the
-    unbounded law's mass outside those sets is exactly one minus its mass on
-    them; no truncation error enters. For an exact q = a/b, TV = 1 - sum min(mu, nu) is
-    one integer sum, reduced once: mu = W / S with S = sum W (`jep._numerators`), and
-    nu = V / L with V = P a^s b^(top-s), L = D b^top, where (q;q)_n = P / D,
-    s = sum(x) - binom(n,2) and top = n(m-n). A float q sums the float laws, as the
-    integer form would round differently and cancel when TV is small. Either way the
-    binom(m, n) height sets are enumerated, so over the state cap it raises ValueError.
-    """
-    bounded, unbounded = BoundedGeometric(m, n, q), UnboundedGeometric(n, q)  # validate first
+    For an exact q = a/b, TV = 1 - sum min(mu, nu) is one integer sum, reduced once: mu = W / S,
+    S = sum W (`jep._numerators`), nu = V / L, V = P a^s b^(top-s), L = D b^top, (q;q)_n = P / D,
+    s = sum(x) - binom(n,2), top = n(m-n). A float q walks vacancies v_k = x_k - (k-1) < l = m-n+1:
+    mu_x = nu_x e^(L_x) / S, L_x = sum log1p(-q^(l-v_k)), and TV is nu's mass off the height sets
+    plus sum nu_x max(-expm1(L_x - log S), 0), log S = log1p(-D) while D = 1 - S, a sum of
+    nonnegative terms, is below 1/2. A float bound_exact is -expm1(m log1p(-q^l)). Over the state
+    cap it raises ValueError."""
+    BoundedGeometric(m, n, q), UnboundedGeometric(n, q)  # validate first
+    ell = m - n + 1
     if isinstance(q, float):
-        mu = stationary_distribution(bounded)
-        nu = _unbounded_probs(unbounded, mu)
-        tv = total_variation(mu, nu, nu_tail=1 - sum(nu.values()))
+        check_state_cap(m, n)
+        lg = [math.log1p(-q ** (ell - v)) for v in range(ell)]  # L_x = sum of lg[v_k]
+        pw = [q**v for v in range(ell)]  # nu_x = (q;q)_n prod of pw[v_k]
+        laws = [(0.0, 1.0, 0)]  # (L_x, nu_x / (q;q)_n, last v) over the v_k placed so far
+        for _ in range(n):
+            laws = [(g + lg[w], r * pw[w], w) for g, r, v in laws for w in range(v, ell)]
+        lp = math.fsum(math.log1p(-q**k) for k in range(1, n + 1))  # log (q;q)_n
+        poch = math.exp(lp)  # 0.0 where (q;q)_n underflows; lp stays finite
+        outside = -math.expm1(math.fsum(math.log1p(-q**k) for k in range(ell, m + 1)))  # nu's mass
+        d = poch * math.fsum(r * -math.expm1(g) for g, r, _ in laws) + outside  # D = 1 - S
+        g0 = laws[0][0]  # the ground's L_x: shifted by it and by log (q;q)_n, S's sum is >= 1
+        log_s = (math.log1p(-d) if d < 0.5  # near TV = 1, log S comes from S's own sum
+                 else lp + g0 + math.log(math.fsum(r * math.exp(g - g0) for g, r, _ in laws)))
+        tv = outside + poch * math.fsum(r * -math.expm1(g - log_s) for g, r, _ in laws if g < log_s)
+        bound_exact = -math.expm1(m * math.log1p(-q**ell))
     else:
         _, _, numerators = _numerators(m, n, q, enumerate_states(m, n))
         weights = [(w, sum(state) - binom2(n)) for state, w in numerators]
@@ -254,9 +264,8 @@ def tv_to_unbounded(m: int, n: int, q: Scalar) -> ConvergenceRow:
         total, scale = sum(w for w, _ in weights), poch.denominator * b**top  # S and L
         vs = [poch.numerator * a**s * b ** (top - s) * total for s in range(top + 1)]  # V S
         tv = Fraction(total * scale - sum(min(w * scale, vs[s]) for w, s in weights), total * scale)
-    ell = m - n + 1
-    return ConvergenceRow(m=m, n=n, q=q, tv=tv, bound_exact=1 - (1 - q**ell) ** m,
-                          bound_simple=m * q**ell)
+        bound_exact = 1 - (1 - q**ell) ** m
+    return ConvergenceRow(m=m, n=n, q=q, tv=tv, bound_exact=bound_exact, bound_simple=m * q**ell)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 import jepq
 from jepq.cli import _exact_str, _state_key, main
 from jepq.jep import BoundedGeometric, BoundedUniform, stationary_distribution, stationary_weights
+from jepq.oracle import tv_to_unbounded
 
 
 def run_cli(argv):
@@ -210,7 +212,7 @@ def test_simulate_output_pinned(argv, digest):
         ),
         (
             "converge --n 4 --q 1/2 --m-range 4:20 --format csv",
-            "49c6179cdf99480d68b9f11c859c2944cec5176686b5269657e61f6c05085b3f",
+            "8d687e87fdd768dfc4fe2dbc5bcb1d24d891c4fdc5eb4c29d49d194322127fb5",
         ),
         # an empty range prints the header only
         (
@@ -313,8 +315,30 @@ def test_converge_rows_respect_bounds():
     assert code == 0
     doc = json.loads(out)
     for row in doc["rows"]:
-        assert row["tv_float"] <= row["bound_exact"] <= row["bound_simple"] + 1e-15
+        assert row["tv_float"] <= row["bound_exact"] <= row["bound_simple"]
     assert doc["rows"][-1]["tv_float"] < 1e-3
+    # in floats too, past m = 55, where 1 - q^l rounds to 1, down to TV near 1e-22
+    code, out = run_cli(["converge", "--n", "2", "--q", "1/2", "--m-range", "2:80"])
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 79
+    for row in rows:
+        assert row["tv_float"] <= row["bound_exact"] <= row["bound_simple"], row["m"]
+
+
+@pytest.mark.parametrize(
+    "line, count",
+    [("converge --n 2 --q 1e-320 --m-range 2:5", 4), ("converge --n 6 --q 1e-60 --m-range 6:8", 3)],
+)
+def test_float_converge_at_tiny_q_matches_exact_tv(line, count):
+    # no q^-binom(n, 2) is formed, so these runs are tables rather than refusals
+    code, out = run_cli(line.split())
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == count
+    for row in rows:
+        exact = tv_to_unbounded(row["m"], row["n"], F(float(row["q"]))).tv  # q's dyadic value
+        assert math.isclose(row["tv_float"], float(exact), rel_tol=1e-12), row["m"]
 
 
 def test_limits_fixed_and_growing(capsys):
@@ -496,8 +520,6 @@ def test_verify_option_spellings():
         ["simulate", "--m", "4", "--n", "2", "--q", "1/2", "--steps", "100",
          "--burn-in", "-5"],
         ["verify", "--max-m", "10"],
-        # q^-binom(n, 2) beyond the float range
-        ["converge", "--n", "2", "--q", "1e-320", "--m-range", "2:5"],
         ["simulate", "--model", "unbounded-geometric", "--n", "3", "--q", "1e-300",
          "--steps", "100", "--burn-in", "10"],
         # Z underflows to 0

@@ -378,7 +378,7 @@ def test_tv_specific_bound_instance():
 
 def reference_tv(m, n, q):
     """The distance summed over the two laws' dicts, as `tv_to_unbounded` did before
-    it cross-multiplied in integers (and still does for a float q)."""
+    it cross-multiplied in integers."""
     mu = stationary_distribution(BoundedGeometric(m, n, q))
     nu = _unbounded_probs(UnboundedGeometric(n, q), mu)
     return total_variation(mu, nu, nu_tail=1 - sum(nu.values()))
@@ -399,12 +399,29 @@ def test_integer_tv_matches_fraction_reference_at_tiny_q():
             assert tv_to_unbounded(m, n, q).tv == reference_tv(m, n, q)
 
 
-@pytest.mark.parametrize("q", (0.3, 0.5, 0.9))
-def test_float_tv_keeps_its_bits(q):
-    for n in range(5):
-        for m in range(n, n + 9):
-            tv = tv_to_unbounded(m, n, q).tv
-            assert type(tv) is float and tv.hex() == reference_tv(m, n, q).hex()
+@pytest.mark.parametrize("q", (0.3, 0.37, 0.5, 0.9, 0.999))
+def test_float_tv_matches_exact_tv(q):
+    # the exact TV at the float's own dyadic value, from TV near 1 down to 1e-30
+    for n in range(6):
+        for m in range(n, n + 41):
+            if math.comb(m, n) > 2000:
+                break
+            tv, exact = tv_to_unbounded(m, n, q).tv, tv_to_unbounded(m, n, F(q)).tv
+            assert type(tv) is float
+            assert tv == 0.0 if exact == 0 else abs(F(tv) - exact) <= exact * F(1e-12), (m, n)
+            if exact < F(1, 10**30):
+                break
+
+
+@pytest.mark.parametrize(
+    "m, n, q",
+    [(160, 160, 127 / 128), (161, 160, 127 / 128), (100, 100, 1 - 2**-20), (101, 100, 1 - 2**-20)],
+)
+def test_float_tv_past_the_float_range_of_its_terms(m, n, q):
+    # e^(L_x) underflows at the ground at q = 127/128, and (q;q)_n as well at q = 1 - 2^-20
+    row = tv_to_unbounded(m, n, q)
+    assert abs(F(row.tv) - tv_to_unbounded(m, n, F(q)).tv) <= F(1e-16)
+    assert row.tv <= row.bound_exact <= row.bound_simple
 
 
 def reference_limit_row(m, n, q, target):

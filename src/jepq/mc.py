@@ -7,7 +7,7 @@ by mixing the replica index into the seed. Ranks go through the platform's
 ``math.log`` (`_rank`), so trajectories reproduce bit for bit where it rounds alike.
 A block of draws is ranked by a table on each draw's top byte, with a bisect among the
 law's thresholds (or `_rank` past them) for a byte that spans a rank boundary. The coupled
-run moves both chains by one transition while they share a state and their ranks agree.
+run is one chain on (bounded, unbounded) state pairs: a step whose ranks agree is one lookup.
 """
 
 from __future__ import annotations
@@ -57,11 +57,12 @@ def _mix64(z: int, lanes: int = _MASK64) -> int:
 
 
 @lru_cache(maxsize=None)
-def _block_constants() -> tuple[int, int, int]:
-    """1, 2^64 - 1 and (i+1) * GAMMA in lane i of a full block."""
+def _block_constants() -> tuple[int, int, int, int]:
+    """1, 2^64 - 1, (i+1) * GAMMA and _MAX_BLOCK * GAMMA mod 2^64 in lane i of a full block."""
     ones = int.from_bytes((b"\1" + bytes(15)) * _MAX_BLOCK, "little")
     gammas = b"".join((i * _GAMMA).to_bytes(16, "little") for i in range(1, _MAX_BLOCK + 1))
-    return ones, ones * _MASK64, int.from_bytes(gammas, "little")
+    stride = ones * (_MAX_BLOCK * _GAMMA & _MASK64)
+    return ones, ones * _MASK64, int.from_bytes(gammas, "little"), stride
 
 
 class RngStream:
@@ -77,6 +78,7 @@ class RngStream:
         if not 0 <= stream <= _MASK64:
             raise ValueError(f"stream must fit in 64 bits, got {stream}")
         self._counter = _mix64(seed ^ _mix64(stream * _GAMMA & _MASK64))
+        self._lanes = 0  # the counters of the last block if it was full, else 0
 
     def uniforms(self, k: int) -> list[float]:
         """The next k floats in [0, 1), 53 random bits each; the stream advances by k."""
@@ -88,12 +90,16 @@ class RngStream:
     def _block(self, k: int) -> bytes:
         """The next k <= _MAX_BLOCK draws, 16 little-endian bytes each: lane i's low 8 bytes are a
         word whose top 53 bits are draw i, so byte 16i + 7 is its top byte (d >> 45); the high 8
-        bytes are unused."""
-        ones, words, gammas = _block_constants()
-        low = (1 << 128 * k) - 1
-        mask = words & low
+        bytes are unused. A full block after a full block adds _MAX_BLOCK * GAMMA to its counters."""
+        ones, words, gammas, stride = _block_constants()
         c, self._counter = self._counter, (self._counter + k * _GAMMA) & _MASK64
-        return _mix64((c * (ones & low) + (gammas & low)) & mask, mask).to_bytes(16 * k, "little")
+        if k == _MAX_BLOCK and self._lanes:
+            lanes = self._lanes = (self._lanes + stride) & words
+        else:
+            low = (1 << 128 * k) - 1
+            lanes = (c * (ones & low) + (gammas & low)) & words
+            self._lanes = lanes if k == _MAX_BLOCK else 0
+        return _mix64(lanes, words).to_bytes(16 * k, "little")
 
 
 def _rank(u: float, log_q: float, mass: float = 1.0, ell: float = math.inf) -> int:
@@ -169,9 +175,9 @@ class _Successors:
     Each distinct state is stored once, in ``states``, under an integer id.
     ``rows[i]`` is the id state i falls to (None until that step is first
     taken) or, when state i has a ball at height 0, its throw row
-    {rank: id}. `step` fills a missing entry through `_step`. Given the
-    rank, a transition does not depend on the throw model, so chains of
-    different models can share one table.
+    {rank: id}. `step` reads an entry and fills a missing one through
+    `_step`. Given the rank, a transition does not depend on the throw
+    model, so chains of different models can share one table.
     """
 
     def __init__(self, initial: State):
@@ -189,13 +195,16 @@ class _Successors:
         return i
 
     def step(self, i: int, rank: int | None) -> int:
-        """Add the missing throw to ``rank`` (the fall if None) from id ``i``; return its id."""
-        j = self._intern(_step(self.states[i], rank))
-        if rank is None:
-            self.rows[i] = j
-        else:
-            self.rows[i][rank] = j
-        return j
+        """The id state ``i`` moves to: its fall (``rank`` unread) or its throw to ``rank``. A
+        transition not taken before is filled in through `_step`."""
+        row = self.rows[i]
+        if type(row) is dict:
+            if (j := row.get(rank)) is None:
+                j = row[rank] = self._intern(_step(self.states[i], rank))
+            return j
+        if row is None:
+            row = self.rows[i] = self._intern(_step(self.states[i], None))
+        return row
 
 
 def simulate(model: ThrowModel, initial: State, steps: int, seed: int, stream: int = 0) -> Trajectory:
@@ -209,23 +218,28 @@ def simulate(model: ThrowModel, initial: State, steps: int, seed: int, stream: i
     table = _Successors(initial)
     rows, table_states, step = table.rows, table.states, table.step
     states, end = [initial], steps + 1
-    current = throws = 0
-    pending = iter(())  # the ranks drawn and not yet used
-    while len(states) < end:
+    current = falls = 0
+    pending = iter(())  # the ranks drawn and not yet used, never more than the steps left
+    while (left := end - len(states)) > 0:
         row = rows[current]
         if type(row) is not dict:  # a fall takes no rank
             current = step(current, None) if row is None else row
             states.append(table_states[current])
+            falls += 1
             continue
-        for r in pending:  # throw until the chain falls or the run ends
-            current = row[r] if r in row else step(current, r)
+        if (held := length_hint(pending)) > left:  # falls since the draw left fewer steps
+            pending = iter(tuple(islice(pending, left)))
+        elif not held:  # each remaining step throws at most once
+            pending = iter(ranks(rng._block(min(_MAX_BLOCK, left))))
+        for r in pending:  # throw until the chain falls or the ranks run out
+            try:
+                current = row[r]
+            except KeyError:
+                current = step(current, r)
             states.append(table_states[current])
-            throws += 1
-            if type(row := rows[current]) is not dict or len(states) == end:
+            if type(row := rows[current]) is not dict:
                 break
-        else:  # a throw and no rank left: each remaining step throws at most once
-            pending = iter(ranks(rng._block(min(_MAX_BLOCK, end - len(states)))))
-    return Trajectory(initial=initial, states=states, throw_count=throws)
+    return Trajectory(initial=initial, states=states, throw_count=steps - falls)
 
 
 def empirical_distribution(traj: Trajectory, burn_in: int = 1000) -> dict[State, float]:
@@ -259,31 +273,37 @@ def coupled_simulate(
     validate_state(initial, bounded)
     rng, ell, truncated = RngStream(seed, stream), bounded.ell, _ranker(bounded)
     table = _Successors(initial)
-    rows, table_states, step = table.rows, table.states, table.step
+    # by pair id: its (bounded, unbounded) ids, their states, and its row, whose entry xi < ell is
+    # the pair that an agreeing rank xi leads to (missing, or None, until first taken)
+    pairs, keys, b_of, u_of, pair_rows = {(0, 0): 0}, [(0, 0)], [initial], [initial], [[]]
     b_states, u_states = [initial], [initial]
-    b_cur = u_cur = t = 0
-    decouple: int | None = None
-    while t < steps:  # every step takes at least one draw
-        xis = iter(geometric(block := rng._block(min(_MAX_BLOCK, steps - t))))
+    p, row, decouple = 0, pair_rows[0], None
+    while (done := len(b_states) - 1) < steps:  # every step takes at least one draw
+        xis = iter(geometric(block := rng._block(min(_MAX_BLOCK, steps - done))))
+        path = []  # the block's pair ids
         for xi in xis:
-            t += 1
-            # one state and an agreeing pair: one transition moves both chains
-            xi_hat, shared = xi, xi < ell and b_cur == u_cur
-            if xi >= ell:  # the residual draw is the block's next lane, or a fresh one past it
-                i = len(block) - 16 * length_hint(xis)
-                xi_hat = truncated(block[i : i + 16] or rng._block(1))[0]
-                next(xis, None)
-                decouple = decouple or t
-            row = rows[b_cur]
-            j = row if type(row) is int else None if row is None else row.get(xi_hat)
-            b_cur = step(b_cur, None if row is None else xi_hat) if j is None else j
-            if shared:
-                u_cur = b_cur
-            else:
-                row = rows[u_cur]
-                j = row if type(row) is int else None if row is None else row.get(xi)
-                u_cur = step(u_cur, None if row is None else xi) if j is None else j
-            b_states.append(table_states[b_cur])
-            u_states.append(table_states[u_cur])
-            assert decouple or b_cur == u_cur, "coupled paths must agree while draws agree"
+            try:
+                row = pair_rows[j := row[xi]]  # IndexError past the row, TypeError at a gap
+            except (IndexError, TypeError):  # a pair's first step at xi, or xi >= ell
+                xi_hat = xi
+                if xi >= ell:  # the residual draw is the block's next lane, or a fresh one past it
+                    i = len(block) - 16 * length_hint(xis)
+                    xi_hat = truncated(block[i : i + 16] or rng._block(1))[0]
+                    next(xis, None)
+                    decouple = decouple or done + len(path) + 1
+                b, u = keys[p]
+                key = table.step(b, xi_hat), table.step(u, xi)
+                if (j := pairs.setdefault(key, len(keys))) == len(keys):
+                    assert decouple or key[0] == key[1], "coupled paths must agree while draws agree"
+                    keys.append(key)
+                    b_of.append(table.states[key[0]])
+                    u_of.append(table.states[key[1]])
+                    pair_rows.append([])
+                if xi < ell:
+                    row += [None] * (xi + 1 - len(row))
+                    row[xi] = j
+                row = pair_rows[j]
+            path.append(p := j)
+        b_states += map(b_of.__getitem__, path)
+        u_states += map(u_of.__getitem__, path)
     return CoupledRun(decouple, b_states, u_states)

@@ -45,7 +45,6 @@ from .oracle import (
 from .rook import (
     _check_placements,
     _extensions_with_circ,
-    _successors,
     circ_histogram,
     extended_distribution,
     extended_ground,
@@ -193,7 +192,7 @@ def _check_extended_chain(max_m: int, qs) -> tuple[bool, str]:
                 while path[-1] not in reached:
                     if len(path) > (m + 1) * (m + 2):
                         return False, f"ground unreachable from {path[0]}"
-                    path.append(_successors(m, path[-1])[0])
+                    path.append(next(iter(tm.rows[tm.pos[path[-1]]])))  # its lowest throw
                 reached.update(path)
             mu = extended_distribution(m, n, q)
             common, weights = _over_lcm(mu)

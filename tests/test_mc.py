@@ -93,7 +93,13 @@ def test_uniforms_match_scalar_reference(seed, stream):
 
 
 @pytest.mark.parametrize(
-    "split", [(300, 300), (511, 1, 513), (1, 512, 0, 1025), (0, 0, 7), (512, 512, 512)]
+    "split",
+    [
+        (300, 300), (511, 1, 513), (1, 512, 0, 1025), (0, 0, 7), (512, 512, 512),
+        # a full block after a partial one starts from the stream's counter, not from the
+        # counters of the full block before the partial one
+        (512, 1, 512), (1024, 5, 1536),
+    ],
 )
 def test_split_uniforms_equal_one_call(split):
     rng = RngStream(2**64 - 1, 7)
@@ -387,6 +393,10 @@ BLOCK_EDGES = [blocks * mc._MAX_BLOCK + d for blocks in (1, 2) for d in (-1, 0, 
         pytest.param(BoundedGeometric(3, 3, F(1, 2)), (0, 1, 2), id="every-step-throws"),
         *MODELS[1:4],
         *MODELS[5:],
+        # falls before the first throw: the first ranks drawn outnumber the steps left once
+        # the chain falls again
+        pytest.param(BoundedGeometric(12, 3, F(1, 2)), (5, 9, 11), id="high-start"),
+        pytest.param(UnboundedGeometric(3, F(1, 2)), (2, 5, 9), id="unbounded-high-start"),
     ],
 )
 def test_simulate_matches_reference_loop_at_block_edges(model, initial, steps):
@@ -404,6 +414,18 @@ def test_coupled_simulate_matches_reference_loop_at_block_edges(m, n, steps):
     bounded, unbounded = reference_coupled(m, n, F(1, 2), initial, steps, steps)
     assert run.bounded_states == bounded
     assert run.unbounded_states == unbounded
+
+
+def test_coupled_simulate_matches_reference_loop_from_a_high_start():
+    # both chains fall before their first throw, so the pair table meets steps whose
+    # agreeing ranks are not read, and pairs of one shared state, before any decoupling
+    initial = (3, 5, 7)
+    run = coupled_simulate(10, 3, F(1, 2), initial, 3000, seed=5)
+    assert run.first_decouple_step is not None
+    falls = [initial, (2, 4, 6), (1, 3, 5), (0, 2, 4)]
+    assert run.bounded_states[:4] == run.unbounded_states[:4] == falls
+    reference = reference_coupled(10, 3, F(1, 2), initial, 3000, 5)
+    assert (run.bounded_states, run.unbounded_states) == reference
 
 
 def test_runs_draw_no_more_uniforms_than_they_can_use(monkeypatch):

@@ -17,6 +17,7 @@ import pytest
 
 from jepq import verify
 from jepq.cli import main
+from jepq.oracle import TransitionMatrix
 
 EPS = F(1, 10**9)
 
@@ -108,8 +109,9 @@ BRANCHES = [
     ("extension-sums", "_extensions_with_circ",
      lambda pairs, heights, m: [(config[::-1], value) for config, value in pairs],
      "bad row projection at B=(0, 1)"),
-    ("extended-chain", "_successors",  # a self-loop never reaches a placement known to ground
-     lambda succ, m, config: [config], "ground unreachable from ((0, 1),)"),
+    ("extended-chain", "build_extended_matrix",  # self-loops never reach a placement known to ground
+     lambda tm, m, n, q: TransitionMatrix(tm.states, [{c: 1} for c in tm.states]),
+     "ground unreachable from ((0, 1),)"),
     ("extended-chain", "extended_distribution",
      lambda law, m, n, q: {c: 2 * p for c, p in law.items()}, "extended law not normalized at (1,0,"),
     ("extended-chain", "extended_distribution",
@@ -172,7 +174,12 @@ def test_raising_checks_are_fail_lines(monkeypatch, capsys):
         return fault
 
     monkeypatch.setattr(verify, "tv_to_unbounded", raiser(ValueError))
-    monkeypatch.setattr(verify, "_successors", raiser(RuntimeError))
+    class FaultyRow(dict):  # the extended-chain walk reads a row's first key
+        __iter__ = raiser(RuntimeError)
+
+    build = verify.build_extended_matrix
+    monkeypatch.setattr(verify, "build_extended_matrix", lambda *args: TransitionMatrix(
+        (tm := build(*args)).states, [FaultyRow(row) for row in tm.rows]))
     assert main(["verify", "--max-m", "4"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 9

@@ -136,7 +136,7 @@ def _cmd_stationary(args) -> int:
     # q is exact here (stationary always reads --q exactly). With the int scale and
     # Z scale = zn/zd in lowest terms, w/scale and w zd/zn are each reduced by one gcd
     # with w, and w zd / zn is the correctly rounded float.
-    _, scale, stream = _numerators(model.m, model.n, model.q, enumerate_states(model.m, model.n))
+    scale, stream = _numerators(model.m, model.n, model.q, enumerate_states(model.m, model.n))
     z = partition_z(model.m, model.n, model.q)
     z_scaled = z * scale
     zn, zd, rows = z_scaled.numerator, z_scaled.denominator, []

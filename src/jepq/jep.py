@@ -206,9 +206,8 @@ def _numerators(m: int, n: int, q: Scalar, states):
     """The bounded law over one denominator. With q = a/b in lowest terms, `qcomb`'s
     table gives [c]_q = N_c / b^(c-1), so the weight of x_1 < ... < x_n is W / b^E
     with W = prod_k N_(m-n-x_k+k) * a^(x_1+...+x_n) and E = n(m-n) + binom(n,2).
-    Returns the division to apply (for an exact q, one reduction by an integer,
-    which may be held as a Fraction as Z b^E is), b^E and a stream of (state, W).
-    A float q takes a = q and b = 1: the product's float steps."""
+    Returns b^E and a stream of (state, W). A float q takes a = q and b = 1: the
+    product's float steps."""
     a, b, nums, _, _ = _table(m - n + 1, q)
     nums = list(nums)
     def stream():
@@ -217,16 +216,17 @@ def _numerators(m: int, n: int, q: Scalar, states):
             for k, x in enumerate(state, start=1):
                 w = w * nums[m - n - x + k]
             yield state, w * a ** sum(state)
-    exact = not isinstance(q, float)
-    div = (lambda w, d: Fraction(w * d.denominator, d.numerator)) if exact else float.__truediv__
-    return div, b ** (n * (m - n) + binom2(n)), stream()
+    return b ** (n * (m - n) + binom2(n)), stream()
 
 
 def _bounded_law(model: BoundedGeometric, states, normalized: bool = False) -> dict[State, Scalar]:
     """The weights of the given states, in their order; divided by Z when ``normalized``."""
-    div, scale, numerators = _numerators(model.m, model.n, model.q, states)
+    scale, numerators = _numerators(model.m, model.n, model.q, states)
     den = partition_z(model.m, model.n, model.q) * scale if normalized else scale
-    return {state: div(w, den) for state, w in numerators}
+    if isinstance(model.q, float):
+        return {state: w / den for state, w in numerators}
+    # an exact q: one reduction of each integer W by den, an int or (as Z b^E is) a Fraction
+    return {state: Fraction(w * den.denominator, den.numerator) for state, w in numerators}
 
 
 def stationary_weight(state: State, model: ThrowModel) -> Scalar:

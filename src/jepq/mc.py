@@ -5,19 +5,19 @@ through the SplitMix64 finalizer): a draw is a 53-bit integer, the same pure fun
 of (seed, stream, call index) on any platform, and replicas get independent streams
 by mixing the replica index into the seed. Ranks go through the platform's
 ``math.log`` (`_rank`), so trajectories reproduce bit for bit where it rounds alike.
-A block of draws is ranked by a table on each draw's top byte, with a bisect among the
-law's thresholds (or `_rank` past them) for a byte that spans a rank boundary. The coupled
-run is one chain on (bounded, unbounded) state pairs: a step whose ranks agree is one lookup.
+`_rank` is monotone in the draw, so a block of draws is ranked by a table on each draw's top
+byte: the rank `_rank` gives at both ends of the byte's bucket, or a mark where those differ, and
+a marked draw goes through `_rank`. The coupled run is one chain on (bounded, unbounded) state
+pairs: a step whose ranks agree is one lookup.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import islice
 from operator import length_hint
 
@@ -35,7 +35,6 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 # a run draws uniforms in blocks of at most this many, never past what it can use
 _MAX_BLOCK = 512
-_MAX_RANKS = 64
 _LANE = struct.Struct("<Q8x")  # a lane of a block: the word whose top 53 bits are the draw
 
 __all__ = [
@@ -114,20 +113,15 @@ def _rank(u: float, log_q: float, mass: float = 1.0, ell: float = math.inf) -> i
 @lru_cache(maxsize=16)
 def _ranker(model: ThrowModel):
     """`_rank` of ``model``'s throw law on a block of draws (`RngStream._block`; u = d * 2^-53).
-    A draw's top byte indexes a table of the rank every draw with that byte has, or of 255 where
-    the bucket holds one of the least draws of rank 1, 2, ..., _MAX_RANKS (found by binary search
-    over `_rank`, so the two agree wherever `_rank` is monotone in d) or reaches the last. A marked
-    draw bisects among them, or goes through `_rank` past them. Replicas share one table."""
+    A draw's top byte b indexes a table built from `_rank` at the least and greatest words of
+    b's bucket, b << 56 and (b + 1 << 56) - 1: where `_rank` is monotone in the draw, every draw
+    in the bucket has the rank those two share. A bucket whose ends differ, or share a rank of
+    255 or more, is marked 255, and its draws go through `_rank`. Replicas share one table."""
     q = float(model.q)
     law = () if isinstance(model, UnboundedGeometric) else (1.0 - q**model.ell, model.ell)
     rank = lambda w, log_q=math.log(q): _rank((w >> 11) * 2.0**-53, log_q, *law)
-    top = min(rank(_MASK64), _MAX_RANKS)
-    firsts = range(0, 2**64, 2**11)  # the least word of each draw: lookup and rank read words
-    thresholds = [firsts[bisect_left(firsts, r, key=rank)] for r in range(1, top + 1)]
-    lookup = partial(bisect_right, thresholds)
-    spans = ((lookup(b << 56), lookup((b + 1 << 56) - 1)) for b in range(256))
-    table = bytes(lo if lo == hi < _MAX_RANKS else 255 for lo, hi in spans)
-    cap = thresholds[-1] if top == _MAX_RANKS else 2**64  # where lookup would give the cap
+    spans = ((rank(b << 56), rank((b + 1 << 56) - 1)) for b in range(256))
+    table = bytes(lo if lo == hi < 255 else 255 for lo, hi in spans)
     def ranks(block: bytes) -> bytes | list[int]:
         tops = block[7::16].translate(table)
         i = tops.find(255)
@@ -136,7 +130,7 @@ def _ranker(model: ThrowModel):
         out = list(tops)
         while i >= 0:
             (w,) = _LANE.unpack_from(block, 16 * i)
-            out[i] = lookup(w) if w < cap else rank(w)
+            out[i] = rank(w)
             i = tops.find(255, i + 1)
         return out
     return ranks

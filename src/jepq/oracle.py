@@ -258,7 +258,7 @@ def tv_to_unbounded(m: int, n: int, q: Scalar) -> ConvergenceRow:
         tv = outside + poch * math.fsum(r * -math.expm1(g - log_s) for g, r, _ in laws if g < log_s)
         bound_exact = -math.expm1(m * math.log1p(-q**ell))
     else:
-        _, _, numerators = _numerators(m, n, q, enumerate_states(m, n))
+        _, numerators = _numerators(m, n, q, enumerate_states(m, n))
         weights = [(w, sum(state) - binom2(n)) for state, w in numerators]
         (a, b), poch, top = q.as_integer_ratio(), q_pochhammer(n, q), n * (m - n)
         total, scale = sum(w for w, _ in weights), poch.denominator * b**top  # S and L

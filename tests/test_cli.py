@@ -193,6 +193,15 @@ def test_simulate_summary():
             ["--m", "4", "--n", "4", "--q", "1/2", "--steps", "2000", "--burn-in", "10"],
             "9486f41485f5f611e18abdf2a7b066f115197ea90e786c51afb799e592203a7b",
         ),
+        # near q = 1, where the rank table's marked buckets and their fallback carry many draws
+        (
+            ["--model", "unbounded-geometric", "--n", "4", "--q", "0.99", "--steps", "20000"],
+            "045e267564db28f8fff45fdbb8c9143439ef161fd8becd1ad90d9396c577584f",
+        ),
+        (
+            ["--m", "70", "--n", "2", "--q", "0.99", "--steps", "20000"],
+            "348b33a01544dbf8fd658b142d95a505baae3c1afc532b3eb3d4d1dbf7109b42",
+        ),
     ],
 )
 def test_simulate_output_pinned(argv, digest):

@@ -175,7 +175,7 @@ def test_q_int_table_matches_q_int(q):
     exact = not isinstance(q, float)
     b = q.denominator if exact else 1
     for ell in range(1, 11):
-        _, scale, stream = jep._numerators(ell, 1, q, [(0,)])
+        scale, stream = jep._numerators(ell, 1, q, [(0,)])
         [(state, numerator)] = stream
         assert state == (0,) and scale == b ** (ell - 1)
         assert numerator == q_int(ell, q) * b ** (ell - 1)
@@ -207,7 +207,7 @@ def test_exact_law_matches_per_state_fraction_product(q):
                 assert (weight, prob) == (ref_weights[s], ref_law[s])
                 assert type(weight) is type(prob) is F
             # integer numerators over b^E that add up to Z b^E
-            _, scale, stream = jep._numerators(m, n, q, states)
+            scale, stream = jep._numerators(m, n, q, states)
             assert scale == q.denominator ** (n * (m - n) + binom2(n))
             numerators = dict(stream)
             assert list(numerators) == states

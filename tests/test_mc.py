@@ -231,10 +231,10 @@ def test_rank_table_matches_rank(model):
     rank = lambda d: reference_rank(d / 2**53, q, ell)
     ranker = mc._ranker(model)
     ranks = lambda draws: list(ranker(as_block(draws)))
-    # every threshold the table can hold, and two past its cap, where draws go through `_rank`
-    top = min(rank(2**53 - 1), mc._MAX_RANKS + 2)
+    # the least draw of each rank up to 66, and the draws around it
+    top = min(rank(2**53 - 1), 66)
     if q == 1e-300:
-        assert top == 0  # no draw reaches rank 1: the table is empty
+        assert top == 0  # no draw reaches rank 1: every bucket holds rank 0
     for r in range(1, top + 1):
         t = first_draw_of_rank(rank, r)
         assert rank(t - 1) < r <= rank(t)
@@ -248,6 +248,13 @@ def test_rank_table_matches_rank(model):
     assert got == [rank(d) for d in draws]
     if q == 0.99999 and ell is None:
         assert max(got) > 255  # a rank past the table's byte comes back whole
+    if q == 0.99 and ell is None:
+        # a bucket that holds one rank past 63 is ranked by the table alone
+        b = next(b for b in range(256) if 64 <= rank(b * 2**45) == rank((b + 1) * 2**45 - 1))
+        junk = random.Random(1).getrandbits
+        draws = [b * 2**45, *(b * 2**45 + junk(45) for _ in range(510)), (b + 1) * 2**45 - 1]
+        got = ranker(as_block(draws))
+        assert type(got) is bytes and list(got) == [rank(d) for d in draws]
 
 
 def test_simulate_deterministic_fall():
@@ -345,7 +352,7 @@ MODELS = [
     pytest.param(BoundedUniform(7, 3), (0, 1, 2), id="uniform"),
     pytest.param(UnboundedGeometric(4, F(1, 2)), (0, 1, 2, 3), id="unbounded"),
     pytest.param(BoundedGeometric(4, 0, F(1, 2)), (), id="empty"),
-    # ranks past the table's cap go through `_rank`; at 1e-300 every rank is 0 and the table is empty
+    # most draws at q = 0.99 fall in marked buckets and go through `_rank`; at 1e-300 every rank is 0
     pytest.param(UnboundedGeometric(3, 0.99), (0, 1, 2), id="unbounded-0.99"),
     pytest.param(UnboundedGeometric(3, 1e-300), (0, 1, 2), id="unbounded-1e-300"),
 ]
@@ -466,7 +473,7 @@ def test_throw_count_counts_steps_from_a_ball_at_height_zero(model, initial, ste
 
 
 def test_coupled_simulate_matches_reference_loop_past_the_rank_table():
-    # at q = 0.99 and ell = 78 both laws rank draws past the table's cap through `_rank`
+    # at q = 0.99 and ell = 78 both laws rank most draws through `_rank`, in marked buckets
     initial = (0, 1, 2)
     run = coupled_simulate(80, 3, 0.99, initial, 3000, seed=4)
     assert run.first_decouple_step is not None

@@ -9,25 +9,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .qcomb import (
-    Scalar,
-    binom2,
-    euler_phi,
-    _reduce,
-    _triangle_rows,
-    q_int,
-    q_pochhammer,
-)
-from .jep import (
-    BoundedGeometric,
-    ThrowModel,
-    UnboundedGeometric,
-    _numerators,
-    check_state_cap,
-    enumerate_states,
-    step_kernel_row,
-)
-from .rook import _extended_rows, enumerate_configs
+from .qcomb import Scalar, binom2, euler_phi, _reduce, _table, _triangle_rows, q_int, q_pochhammer
+from .jep import BoundedGeometric, ThrowModel, UnboundedGeometric, _numerators, _step
+from .jep import check_state_cap, enumerate_states
+from .rook import _successors, enumerate_configs
 
 __all__ = [
     "TransitionMatrix",
@@ -44,16 +29,24 @@ __all__ = [
 
 
 class TransitionMatrix:
-    """Row-stochastic kernel over an explicitly enumerated state list."""
+    """Row-stochastic kernel over an explicitly enumerated state list. A builder gives it its
+    rows as integers over one scale (`_weighted`), and `rows` is built from those when read."""
 
     def __init__(self, states: list, rows: list[dict]):
         if len(states) != len(rows):
             raise ValueError("one row per state required")
         self.states = list(states)
-        self.rows = list(rows)
+        self._rows, self._scaled_rows = list(rows), None  # the scale and rows of `_weighted`
         self.pos = {s: i for i, s in enumerate(self.states)}
         if len(self.pos) != len(self.states):
             raise ValueError("duplicate states")
+
+    @property
+    def rows(self) -> list[dict]:
+        if self._rows is None:  # a float scale gives float entries
+            scale, rows = self._scaled_rows
+            self._rows = [{self.states[j]: Fraction(v) / scale for j, v in r.items()} for r in rows]
+        return self._rows
 
     def __len__(self) -> int:
         return len(self.states)
@@ -67,23 +60,46 @@ class TransitionMatrix:
         return out
 
     def is_exact(self) -> bool:
-        return all(
-            not isinstance(p, float) for row in self.rows for p in row.values()
-        )
+        if self._scaled_rows:  # a builder's kernel is exact unless its scale is a float
+            return not isinstance(self._scaled_rows[0], float)
+        return all(not isinstance(p, float) for row in self._rows for p in row.values())
 
 
 def build_transition_matrix(model: ThrowModel) -> TransitionMatrix:
     """Assemble the full kernel of a bounded model over all its states."""
     if isinstance(model, UnboundedGeometric):
         raise ValueError("unbounded model has an infinite state space")
-    states = enumerate_states(model.m, model.n)
-    return TransitionMatrix(states, [step_kernel_row(s, model) for s in states])
+    return _weighted(_bounded_shape(model.m, model.n), model.q)
 
 
 def build_extended_matrix(m: int, n: int, q: Scalar) -> TransitionMatrix:
     """Assemble the kernel of the extended rook chain on the board of height m."""
     configs = enumerate_configs(m, n)
-    return TransitionMatrix(configs, _extended_rows(m, n, configs, q))
+    q, pos = BoundedGeometric(m, n, q).q, {c: i for i, c in enumerate(configs)}
+    return _weighted((configs, [[pos[s] for s in _successors(m, c)] for c in configs]), q)
+
+
+def _bounded_shape(m: int, n: int) -> tuple[list, list[list[int]]]:
+    """The states of n balls below m and each one's successor indices, by `jep._step`."""
+    states, ranks = enumerate_states(m, n), range(m - n + 1)
+    pos = {s: i for i, s in enumerate(states)}
+    return states, [[pos[_step(s, r)] for r in (ranks if 0 in s else (None,))] for s in states]
+
+
+def _weighted(shape: tuple[list, list[list[int]]], q: Scalar) -> TransitionMatrix:
+    """The kernel of a shape: states and each one's successor indices, one for a fall or drift,
+    or ell in rank order for a throw. With q = a/b (`qcomb._table`; a float q is (q, 1), so its
+    kernel stays inexact) a throw to rank r weighs a^r b^(ell-1-r), a fall their sum L = N_ell:
+    as a and b are coprime, L is the lcm of the entries' denominators, as `_scaled` takes it."""
+    states, successors = shape
+    ell = max(map(len, successors))
+    _, _, _, pows, bpows = _table(ell, q)
+    weights = [x * y for x, y in zip(pows, [*bpows][ell - 1 :: -1])]
+    scale = sum(weights)
+    rows = [dict(zip(s, weights)) if len(s) == ell else {s[0]: scale} for s in successors]
+    tm = TransitionMatrix(states, rows)  # checks the states; `rows` is then built when read
+    tm._rows, tm._scaled_rows = None, (scale, rows)
+    return tm
 
 
 # Exponents e of the Mersenne primes 2^e - 1 that the solve tries, in order
@@ -110,9 +126,12 @@ def solve_stationary(tm: TransitionMatrix) -> dict:
 
 def _scaled(tm: TransitionMatrix) -> tuple[int, list[dict]]:
     """L, the lcm of the entry denominators, and the rows as {successor index: entry L}, zero
-    entries dropped; ValueError unless the kernel is exact and every row a law on its states."""
+    entries dropped; ValueError unless the kernel is exact and every row a law on its states.
+    A builder's integer rows are returned as they were built; only hand-built rows are read."""
     if not tm.is_exact():
         raise ValueError("solve_stationary needs an exact kernel; build it with a rational q")
+    if tm._scaled_rows is not None:
+        return tm._scaled_rows
     lcm = math.lcm(*(p.denominator for row in tm.rows for p in row.values()))
     try:
         scaled = [{tm.pos[succ]: p.numerator * (lcm // p.denominator) for succ, p in row.items() if p}
@@ -141,10 +160,10 @@ def _over_lcm(law: dict) -> tuple[int, dict]:
 
 
 def _is_stationary(tm: TransitionMatrix, law: dict) -> bool:
-    """Whether a law on exactly the states of tm has law P = law, certified in integers."""
+    """Whether exact weights on exactly the states of tm have law P = law. That holds at any
+    scale, so a law put over a common denominator (`_over_lcm`) is certified in integers."""
     lcm, scaled = _scaled(tm)  # raises as `solve_stationary` does for a kernel it refuses
-    weights = _over_lcm(law)[1]
-    return law.keys() == tm.pos.keys() and _balanced(scaled, lcm, [weights[s] for s in tm.states])
+    return law.keys() == tm.pos.keys() and _balanced(scaled, lcm, [law[s] for s in tm.states])
 
 
 def _certified_weights(scaled: list[dict], lcm: int, p: int) -> list[int] | None:

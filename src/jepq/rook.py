@@ -169,13 +169,8 @@ def extended_kernel_row(m: int, rooks: RookConfig, q: Scalar) -> dict[RookConfig
     uniform at q = 1.
     """
     validate_config(m, rooks)
-    return _extended_rows(m, len(rooks), [tuple(sorted(rooks))], q)[0]
-
-
-def _extended_rows(m: int, n: int, configs: list[RookConfig], q: Scalar) -> list[dict]:
-    """`extended_kernel_row` for n rooks: 1 or m - n + 1 successors, each law built once."""
-    laws = {k: truncated_geometric_pmf(k, q) for k in (1, m - n + 1)}
-    return [dict(zip(s, laws[len(s)])) for s in (_successors(m, c) for c in configs)]
+    successors = _successors(m, tuple(sorted(rooks)))
+    return dict(zip(successors, truncated_geometric_pmf(len(successors), q)))
 
 
 def extended_distribution(m: int, n: int, q: Scalar) -> dict[RookConfig, Scalar]:

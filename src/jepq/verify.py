@@ -33,15 +33,9 @@ from .jep import (
     stationary_weights,
     UnboundedGeometric,
 )
-from .oracle import (
-    _is_stationary,
-    _over_lcm,
-    build_extended_matrix,
-    build_transition_matrix,
-    solve_stationary,
-    total_variation,
-    tv_to_unbounded,
-)
+from .oracle import _bounded_shape, _is_stationary, _over_lcm, _scaled, _weighted
+from .oracle import build_extended_matrix, build_transition_matrix, solve_stationary
+from .oracle import total_variation, tv_to_unbounded
 from .rook import (
     _check_placements,
     _extensions_with_circ,
@@ -104,10 +98,11 @@ def _check_scalar_identities(max_m: int, qs) -> tuple[bool, str]:
 def _check_closed_form_vs_solver(max_m: int, qs) -> tuple[bool, str]:
     for m in range(1, max_m + 1):
         for n in range(1, m + 1):
+            shape = _bounded_shape(m, n)  # built once, weighted at each q
             # q = 1, uniform throws, is solved on top of the sampled qs
             for q in (*qs, Fraction(1)):
                 model = BoundedGeometric(m, n, q)
-                solved = solve_stationary(build_transition_matrix(model))
+                solved = solve_stationary(_weighted(shape, model.q))
                 closed = stationary_distribution(model)
                 if solved != closed:
                     return False, f"mismatch at (m={m}, n={n}, q={q})"
@@ -187,18 +182,18 @@ def _check_extended_chain(max_m: int, qs) -> tuple[bool, str]:
             g, z = gould_stirling(m + 1, m - n + 1, 1), partition_z(m, n, 1)
             q = Fraction(1, 1 + max(size + g, ell * (size + 1), size * z + ell**n * g))
             tm = build_extended_matrix(m, n, q)
+            rows = _scaled(tm)[1]
             reached = {extended_ground(n)}  # `path_to_ground`'s walks, each stopped once known
             for path in ([config] for config in tm.states):
                 while path[-1] not in reached:
                     if len(path) > (m + 1) * (m + 2):
                         return False, f"ground unreachable from {path[0]}"
-                    path.append(next(iter(tm.rows[tm.pos[path[-1]]])))  # its lowest throw
+                    path.append(tm.states[next(iter(rows[tm.pos[path[-1]]]))])  # its lowest throw
                 reached.update(path)
-            mu = extended_distribution(m, n, q)
-            common, weights = _over_lcm(mu)
+            common, weights = _over_lcm(extended_distribution(m, n, q))
             if sum(weights.values()) != common:
                 return False, f"extended law not normalized at ({m},{n},{q})"
-            if not _is_stationary(tm, mu):
+            if not _is_stationary(tm, weights):
                 return False, f"extended law not stationary at ({m},{n},{q})"
             if n >= 1:
                 marginal = Counter()
@@ -235,7 +230,8 @@ def _check_balance(max_m: int, qs) -> tuple[bool, str]:
         bound = max((math.comb(m, n) + 1) * (m - n + 1) ** (n + 1) for n in range(1, m + 1))
         for n in range(1, m + 1):
             model = BoundedGeometric(m, n, Fraction(1, 1 + bound))
-            if not _is_stationary(build_transition_matrix(model), stationary_distribution(model)):
+            law = _over_lcm(stationary_distribution(model))[1]
+            if not _is_stationary(build_transition_matrix(model), law):
                 return False, f"bounded law not stationary at ({m},{n},{model.q})"
     for n in range(1, 4):
         # Every predecessor of a state below height 11 lies below height 12, and a throw

@@ -59,6 +59,32 @@ def test_rows_sum_to_one(q):
             assert all(sum(row.values()) == 1 for row in tm.rows)
 
 
+def test_integer_kernels_equal_the_row_definitions():
+    from jepq.jep import step_kernel_row
+    from jepq.rook import extended_kernel_row
+
+    def assert_integer_rows(tm):
+        scale, scaled = oracle._scaled(tm)
+        assert type(scale) is int and len(scaled) == len(tm)
+        assert all(min(row.values()) > 0 and sum(row.values()) == scale for row in scaled)
+
+    for q in (*QS, F(1)):
+        for m in range(1, 9):
+            for n in range(m + 1):
+                model = BoundedGeometric(m, n, q)
+                tm = build_transition_matrix(model)
+                assert_integer_rows(tm)
+                assert tm.rows == [step_kernel_row(s, model) for s in tm.states]
+                if m <= 6:
+                    tm = build_extended_matrix(m, n, q)
+                    assert_integer_rows(tm)
+                    assert tm.rows == [extended_kernel_row(m, c, q) for c in tm.states]
+    for tm in (build_transition_matrix(BoundedGeometric(4, 2, 0.3)), build_extended_matrix(4, 2, 0.3)):
+        assert not tm.is_exact()
+        with pytest.raises(ValueError, match="^solve_stationary needs an exact kernel"):
+            solve_stationary(tm)
+
+
 def test_solve_anchors():
     q = F(1, 2)
     pi = solve_stationary(build_transition_matrix(BoundedGeometric(2, 1, q)))

@@ -177,9 +177,9 @@ def test_raising_checks_are_fail_lines(monkeypatch, capsys):
     class FaultyRow(dict):  # the extended-chain walk reads a row's first key
         __iter__ = raiser(RuntimeError)
 
-    build = verify.build_extended_matrix
-    monkeypatch.setattr(verify, "build_extended_matrix", lambda *args: TransitionMatrix(
-        (tm := build(*args)).states, [FaultyRow(row) for row in tm.rows]))
+    scaled = verify._scaled  # the walk reads the kernel's integer rows
+    monkeypatch.setattr(verify, "_scaled", lambda tm: (
+        (pair := scaled(tm))[0], [FaultyRow(row) for row in pair[1]]))
     assert main(["verify", "--max-m", "4"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 9
